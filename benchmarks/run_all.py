@@ -172,8 +172,8 @@ def collect(quick: bool) -> dict:
 
     # Seed-batch engine: aggregate events/s over all seeds, per-seed serial
     # vs. lockstep batches; the measure itself raises if any batched lane's
-    # scalars diverge from the serial reference.  The full-mode speedup at
-    # batch=32 is the PR 7 acceptance metric (floor 3x).
+    # scalars diverge from the serial reference.  The speedup floors fail a
+    # kernel that has collapsed to serial speed (see bench_seed_batch).
     batch_seeds_n = batch_bench.SMOKE_SEEDS if quick else batch_bench.BENCH_SEEDS
     batch_sizes = batch_bench.SMOKE_SIZES if quick else batch_bench.BENCH_SIZES
     batch_duration = batch_bench.SMOKE_DURATION if quick else batch_bench.BENCH_DURATION

@@ -44,7 +44,11 @@ class QmaConfig:
     startup_send_punishment: float = -3.0
 
     # --- instrumentation -----------------------------------------------------
-    track_history: bool = True
+    #: Record ``QmaMac.q_history`` / ``rho_history`` from the first tick.
+    #: Off by default: the histories cost an append per selection and are
+    #: read only by the ``convergence`` collector, which switches recording
+    #: on for the agents it observes.  ``True`` records regardless.
+    track_history: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate <= 1.0:

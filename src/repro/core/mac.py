@@ -16,15 +16,21 @@ during this time the node selects no further actions.  When the outcome of
 the action is known, the Q-table is updated with Eq. 5 and the policy with
 Eq. 3 (see :class:`repro.core.qtable.QTable`).
 
-The MAC also implements the cautious-startup phase (Sect. 4.3) and records
-the per-frame cumulative Q-value and the exploration probability over time,
-which the evaluation figures 10-15 are built from.
+The MAC also implements the cautious-startup phase (Sect. 4.3).  On request
+(``track_history``, which the ``convergence`` collector switches on) it
+records the per-frame cumulative Q-value and the exploration probability
+over time, which the evaluation figures 10-12 are built from.
+
+The subslot tick runs once per agent and subslot and is the simulator's
+hot path, so inside the agent actions are their ``QAction.value`` codes
+and the pending action is a handful of int-coded attributes (its kind
+fixes the action); :class:`QAction` appears only at the API edge
+(``policy_snapshot``, ``QmaActionStats.selected``, the Q-table's public
+methods).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum, auto
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.actions import ALL_ACTIONS, QAction
@@ -38,47 +44,45 @@ from repro.mac.base import MacProtocol, TransactionResult
 from repro.mac.gate import ActivityGate
 from repro.mac.registry import register_mac
 from repro.phy.frames import Frame, FrameKind
+from repro.phy.radio import RadioState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.radio import Radio
     from repro.sim.engine import Simulator
 
 
-class _PendingKind(Enum):
-    """What the agent is currently waiting for."""
+#: Action codes (``QAction.value``) used inside the agent.
+_QB = QAction.QBACKOFF.value
+_QC = QAction.QCCA.value
+_QS = QAction.QSEND.value
+_ACTION_CODES = tuple(action.value for action in ALL_ACTIONS)
+_TRANSMITTING = RadioState.TRANSMITTING
 
-    BACKOFF = auto()       # QBackoff: evaluated at the next subslot boundary
-    CCA_FAILED = auto()    # QCCA with busy channel: backoff, evaluated next boundary
-    TRANSMISSION = auto()  # QCCA (idle) or QSend: evaluated when the outcome is known
-    STARTUP = auto()       # cautious-startup observation of one subslot
-
-
-@dataclass
-class _PendingAction:
-    """State saved between selecting an action and learning from its outcome."""
-
-    kind: _PendingKind
-    action: QAction
-    state: int
-    counter: int
-    frame: Optional[Frame] = None
-    overheard: bool = False
+#: Pending kinds: what the agent is currently waiting for.  The kind also
+#: fixes the pending action, so no separate action field is kept.
+_IDLE = 0         # nothing pending
+_BACKOFF = 1      # QBackoff: evaluated at the next subslot boundary
+_CCA_FAILED = 2   # QCCA with busy channel: backoff, evaluated next boundary
+_STARTUP = 3      # cautious-startup observation of one subslot
+_TX_CCA = 4       # QCCA with idle channel: evaluated when the outcome is known
+_TX_SEND = 5      # QSend: evaluated when the outcome is known
 
 
-@dataclass
 class QmaActionStats:
     """How often each action was selected (and how often at random)."""
 
-    selected: Dict[QAction, int] = field(default_factory=lambda: {a: 0 for a in ALL_ACTIONS})
-    random_selections: int = 0
-    greedy_selections: int = 0
+    __slots__ = ("counts", "random_selections", "greedy_selections")
 
-    def record(self, action: QAction, random_pick: bool) -> None:
-        self.selected[action] += 1
-        if random_pick:
-            self.random_selections += 1
-        else:
-            self.greedy_selections += 1
+    def __init__(self) -> None:
+        #: Selections per action code.
+        self.counts: List[int] = [0] * len(ALL_ACTIONS)
+        self.random_selections = 0
+        self.greedy_selections = 0
+
+    @property
+    def selected(self) -> Dict[QAction, int]:
+        """Selections per action."""
+        return {action: self.counts[action.value] for action in ALL_ACTIONS}
 
     @property
     def total(self) -> int:
@@ -133,15 +137,29 @@ class QmaMac(MacProtocol):
 
         self._subslot = 0
         self._next_subslot = 0
-        self._counter = 0
+        self._num_subslots = self.config.num_subslots
+        self._subslot_duration = self.config.subslot_duration
         self.frames_elapsed = 0
-        self._pending: Optional[_PendingAction] = None
+        #: The pending action, int-coded: its kind (``_IDLE`` when nothing
+        #: is pending), the subslot it was selected in, whether a foreign
+        #: frame was overheard since, and for transmissions the frame and a
+        #: generation that identifies the pending (``_transmit_pending``
+        #: compares it to drop a transmit scheduled for an older pending).
+        self._pend_kind = _IDLE
+        self._pend_state = 0
+        self._pend_overheard = False
+        self._pend_frame: Optional[Frame] = None
+        self._pend_gen = 0
         #: Tick-chain epoch: ticks carry the epoch they were scheduled in
         #: and no-op once it moves on, so stop()/start() cannot leave a
         #: stale chain running (ticks use the engine's fast path and have
         #: no cancellable handle).
         self._tick_epoch = 0
 
+        #: Whether ``q_history`` / ``rho_history`` are recorded.  Off unless
+        #: the config asks for it; a reader such as the ``convergence``
+        #: collector switches it on before the first tick.
+        self.track_history = self.config.track_history
         #: (time, cumulative Q-value of the policy) recorded at every frame boundary
         self.q_history: List[Tuple[float, float]] = []
         #: (time, ρ) recorded at every action selection
@@ -175,40 +193,65 @@ class QmaMac(MacProtocol):
         return self._subslot
 
     def _on_subslot(self, epoch: int) -> None:
+        """One subslot boundary: learn from the last action, pick the next.
+
+        This is the agent's hot path (one call per agent and subslot), so
+        it works on action codes and pending kinds, reads its state into
+        locals and records histories only when ``track_history`` is set.
+        """
         if epoch != self._tick_epoch:
             return
-        now = self.sim.now
-        self._subslot = self._next_subslot
-        self._counter += 1
-        if self._subslot == 0:
+        now = self.sim._now
+        subslot = self._subslot = self._next_subslot
+        qtable = self.qtable
+        if subslot == 0:
             self.frames_elapsed += 1
-            if self.config.track_history:
-                self.q_history.append((now, self.qtable.cumulative_policy_value()))
+            if self.track_history:
+                self.q_history.append((now, qtable.cumulative_policy_value()))
 
         # 1. Evaluate actions whose outcome becomes known at a subslot boundary.
-        if self._pending is not None and self._pending.kind in (
-            _PendingKind.BACKOFF,
-            _PendingKind.CCA_FAILED,
-            _PendingKind.STARTUP,
-        ):
-            self._evaluate_boundary_action(self._pending)
-            self._pending = None
+        kind = self._pend_kind
+        if kind == _BACKOFF:
+            reward = self.rewards.backoff(self._pend_overheard)
+            qtable._update(self._pend_state, _QB, reward, subslot)
+            kind = self._pend_kind = _IDLE
+        elif kind == _CCA_FAILED:
+            reward = self.rewards.cca(cca_success=False)
+            qtable._update(self._pend_state, _QC, reward, subslot)
+            kind = self._pend_kind = _IDLE
+        elif kind == _STARTUP:
+            state = self._pend_state
+            overheard = self._pend_overheard
+            qtable._update(state, _QB, self.rewards.backoff(overheard), subslot)
+            if overheard:
+                # Bias the table against subslots already used by other nodes.
+                startup = self.startup
+                qtable._update(state, _QC, startup.cca_punishment, subslot)
+                qtable._update(state, _QS, startup.send_punishment, subslot)
+            kind = self._pend_kind = _IDLE
 
         # 2. Select the next action (or observe, during cautious startup).
         # No action is selected while the radio is busy (e.g. transmitting an
         # ACK for a frame received just before the subslot boundary).
-        if self._pending is None and not self.radio.transmitting:
+        if kind == _IDLE and self.radio.state is not _TRANSMITTING:
             if self.startup.active:
-                self._begin_startup_observation()
-            elif not self.queue.empty:
-                self._select_and_execute()
+                self._pend_kind = _STARTUP
+                self._pend_state = subslot
+                self._pend_overheard = False
+                self.startup.tick()
+            else:
+                level = self.queue.level
+                if level:
+                    self._select_and_execute(now, subslot, level)
 
         # 3. Schedule the next subslot boundary.
         self._schedule_next_tick()
 
     def _schedule_next_tick(self) -> None:
-        next_time = self.sim.now + self.config.subslot_duration
-        next_index = (self._subslot + 1) % self.config.num_subslots
+        next_time = self.sim._now + self._subslot_duration
+        next_index = self._subslot + 1
+        if next_index == self._num_subslots:
+            next_index = 0
         if not self.gate.active(next_time):
             next_time = self.gate.next_active_time(next_time)
             next_index = 0
@@ -216,104 +259,81 @@ class QmaMac(MacProtocol):
         self.sim.schedule_at_fast(next_time, self._on_subslot, self._tick_epoch)
 
     # ------------------------------------------------------------ action choice
-    def _select_and_execute(self) -> None:
-        now = self.sim.now
-        state = self._subslot
-        rho = self.exploration.probability(
-            self.queue.level, self.neighbours.average_level(now), now
+    def _select_and_execute(self, now: float, state: int, queue_level: int) -> None:
+        exploration = self.exploration
+        rho = exploration.probability(
+            queue_level, self.neighbours.average_level(now), now
         )
-        self.exploration.notify_action(now)
-        if self.config.track_history:
+        exploration.notify_action(now)
+        if self.track_history:
             self.rho_history.append((now, rho))
-        if self._rng.random() < rho:
-            action = self._rng.choice(ALL_ACTIONS)
-            random_pick = True
+        stats = self.action_stats
+        rng = self._rng
+        if rng.random() < rho:
+            code = rng.choice(_ACTION_CODES)
+            stats.random_selections += 1
         else:
-            action = self.qtable.policy(state)
-            random_pick = False
-        self.action_stats.record(action, random_pick)
-        self._execute(action, state)
+            code = self.qtable._policy[state]
+            stats.greedy_selections += 1
+        stats.counts[code] += 1
+        if code == _QB:
+            # The common case resolves here, without touching the queue.
+            self._pend_kind = _BACKOFF
+            self._pend_state = state
+            self._pend_overheard = False
+        else:
+            self._execute(code, state)
 
-    def _execute(self, action: QAction, state: int) -> None:
-        if action is QAction.QBACKOFF:
-            self._pending = _PendingAction(_PendingKind.BACKOFF, action, state, self._counter)
-            return
+    def _execute(self, code: int, state: int) -> None:
+        """Execute action ``code`` selected in subslot ``state``."""
+        self._pend_state = state
+        self._pend_overheard = False
         frame = self.queue.peek()
-        if frame is None:  # defensive: queue drained between check and execution
-            self._pending = _PendingAction(_PendingKind.BACKOFF, QAction.QBACKOFF, state, self._counter)
-            return
-        if action is QAction.QCCA:
+        if code == _QB or frame is None:
+            # QBackoff (or, defensively, a queue drained between check and
+            # execution): evaluated at the next boundary.
+            self._pend_kind = _BACKOFF
+        elif code == _QC:
             if self._cca():
-                self._pending = _PendingAction(
-                    _PendingKind.TRANSMISSION, action, state, self._counter, frame=frame
-                )
+                self._pend_kind = _TX_CCA
+                self._pend_frame = frame
+                self._pend_gen += 1
                 delay = self.phy.cca_duration + self.phy.turnaround_time
-                self.sim.schedule_fast(delay, self._transmit_pending, self._pending)
+                self.sim.schedule_fast(delay, self._transmit_pending, self._pend_gen)
             else:
-                self._pending = _PendingAction(
-                    _PendingKind.CCA_FAILED, action, state, self._counter
-                )
-            return
-        # QSend: transmit immediately, without assessing the channel.
-        if self.radio.transmitting:
-            # The radio is busy (e.g. finishing an ACK); defer to the next subslot.
-            self._pending = _PendingAction(
-                _PendingKind.BACKOFF, QAction.QBACKOFF, state, self._counter
-            )
-            return
-        self._pending = _PendingAction(
-            _PendingKind.TRANSMISSION, action, state, self._counter, frame=frame
-        )
-        self._begin_transmission(frame)
+                self._pend_kind = _CCA_FAILED
+        elif self.radio.transmitting:
+            # QSend with the radio busy (e.g. finishing an ACK): defer to
+            # the next subslot.
+            self._pend_kind = _BACKOFF
+        else:
+            # QSend: transmit immediately, without assessing the channel.
+            self._pend_kind = _TX_SEND
+            self._pend_frame = frame
+            self._begin_transmission(frame)
 
-    def _transmit_pending(self, pending: _PendingAction) -> None:
-        if self._pending is not pending or pending.frame is None:
+    def _transmit_pending(self, generation: int) -> None:
+        # Stale guard: the pending this transmit was scheduled for is gone.
+        if self._pend_kind != _TX_CCA or self._pend_gen != generation:
             return
         if self.radio.transmitting:
             return
-        self._begin_transmission(pending.frame)
-
-    # ------------------------------------------------------- cautious startup
-    def _begin_startup_observation(self) -> None:
-        self._pending = _PendingAction(
-            _PendingKind.STARTUP, QAction.QBACKOFF, self._subslot, self._counter
-        )
-        self.startup.tick()
+        self._begin_transmission(self._pend_frame)
 
     # ------------------------------------------------------------- evaluation
-    def _evaluate_boundary_action(self, pending: _PendingAction) -> None:
-        next_state = self._subslot
-        if pending.kind is _PendingKind.BACKOFF:
-            reward = self.rewards.backoff(pending.overheard)
-            self.qtable.update(pending.state, QAction.QBACKOFF, reward, next_state)
-        elif pending.kind is _PendingKind.CCA_FAILED:
-            reward = self.rewards.cca(cca_success=False)
-            self.qtable.update(pending.state, QAction.QCCA, reward, next_state)
-        elif pending.kind is _PendingKind.STARTUP:
-            reward = self.rewards.backoff(pending.overheard)
-            self.qtable.update(pending.state, QAction.QBACKOFF, reward, next_state)
-            if pending.overheard:
-                # Bias the table against subslots already used by other nodes.
-                self.qtable.update(
-                    pending.state, QAction.QCCA, self.startup.cca_punishment, next_state
-                )
-                self.qtable.update(
-                    pending.state, QAction.QSEND, self.startup.send_punishment, next_state
-                )
-
     def _transaction_complete(self, frame: Frame, result: TransactionResult) -> None:
-        pending = self._pending
-        if pending is None or pending.kind is not _PendingKind.TRANSMISSION:
+        kind = self._pend_kind
+        if kind != _TX_CCA and kind != _TX_SEND:
             # A transaction that QMA is not aware of (should not happen); ignore.
             return
         success = result is TransactionResult.SUCCESS
-        if pending.action is QAction.QSEND:
-            reward = self.rewards.send(success)
+        if kind == _TX_SEND:
+            code, reward = _QS, self.rewards.send(success)
         else:
-            reward = self.rewards.cca(cca_success=True, tx_success=success)
-        next_state = self._subslot
-        self.qtable.update(pending.state, pending.action, reward, next_state)
-        self._pending = None
+            code, reward = _QC, self.rewards.cca(cca_success=True, tx_success=success)
+        self.qtable._update(self._pend_state, code, reward, self._subslot)
+        self._pend_kind = _IDLE
+        self._pend_frame = None
 
         if success:
             self._finish_frame(frame, success=True)
@@ -328,11 +348,9 @@ class QmaMac(MacProtocol):
 
     # -------------------------------------------------------------- overhearing
     def _register_channel_activity(self, frame: Frame) -> None:
-        if self._pending is not None and self._pending.kind in (
-            _PendingKind.BACKOFF,
-            _PendingKind.STARTUP,
-        ):
-            self._pending.overheard = True
+        kind = self._pend_kind
+        if kind == _BACKOFF or kind == _STARTUP:
+            self._pend_overheard = True
         if frame.kind is not FrameKind.ACK:
             self.neighbours.observe(frame.src, frame.queue_level, self.sim.now)
 

@@ -11,6 +11,11 @@ The policy table implements Eq. 3: a subslot's policy only changes when an
 action's updated Q-value becomes *strictly* greater than the Q-value of the
 current policy action, which prevents agents from flip-flopping between
 equally good joint policies.
+
+Internally actions are their ``QAction.value`` codes (0/1/2): the Q-values
+are flat per-subslot float lists and the policy is a list of codes, so the
+per-subslot update of a running agent (:meth:`QTable._update`) never hashes
+or dereferences an enum.  :class:`QAction` appears only at the public API.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.actions import ALL_ACTIONS, QAction
+
+_QBACKOFF = QAction.QBACKOFF.value
 
 
 @dataclass
@@ -68,16 +75,12 @@ class QTable:
         self.discount_factor = discount_factor
         self.penalty = penalty
         self.q_init = q_init
-        # Q-values stored as flat per-state float lists indexed by
-        # ``QAction.value`` (0/1/2): the update runs once per selected action
-        # in the inner loop, and list indexing avoids the enum-hashing cost
-        # of dict rows.  The dict-shaped API (``values_snapshot`` etc.) is
-        # preserved on top.
+        #: Q(m, a) as flat per-subslot float lists indexed by action code.
         self._values: List[List[float]] = [
             [q_init] * len(ALL_ACTIONS) for _ in range(num_states)
         ]
-        #: π(m): initialised to QBackoff for every subslot (Algorithm 1).
-        self._policy: List[QAction] = [QAction.QBACKOFF] * num_states
+        #: π(m) as action codes: QBackoff for every subslot (Algorithm 1).
+        self._policy: List[int] = [_QBACKOFF] * num_states
         self.updates = 0
 
     # ------------------------------------------------------------------ access
@@ -104,14 +107,14 @@ class QTable:
 
     def policy(self, state: int) -> QAction:
         """π(state)."""
-        return self._policy[state]
+        return ALL_ACTIONS[self._policy[state]]
 
     def set_policy(self, state: int, action: QAction) -> None:
-        self._policy[state] = action
+        self._policy[state] = action.value
 
     def policy_snapshot(self) -> List[QAction]:
         """A copy of the full policy table."""
-        return list(self._policy)
+        return [ALL_ACTIONS[code] for code in self._policy]
 
     def values_snapshot(self) -> List[Dict[QAction, float]]:
         """A deep copy of the Q-value table (dict rows keyed by action)."""
@@ -138,31 +141,48 @@ class QTable:
             raise IndexError(f"state {state} out of range")
         if not 0 <= next_state < self.num_states:
             raise IndexError(f"next_state {next_state} out of range")
-        alpha = self.learning_rate
-        gamma = self.discount_factor
-        row = self._values[state]
-        old = row[action.value]
-        candidate = (1.0 - alpha) * old + alpha * (
-            reward + gamma * max(self._values[next_state])
+        code = action.value
+        old = self._values[state][code]
+        policy_before = self._policy[state]
+        candidate = self._update(state, code, reward, next_state)
+        return QUpdateResult(
+            state,
+            action,
+            old,
+            self._values[state][code],
+            candidate,
+            self._policy[state] != policy_before,
         )
-        new = max(old - self.penalty, candidate)
-        row[action.value] = new
-        self.updates += 1
 
-        policy_changed = False
-        policy_action = self._policy[state]
-        if action is not policy_action and new > row[policy_action.value]:
+    def _update(self, state: int, code: int, reward: float, next_state: int) -> float:
+        """Eq. 5 and Eq. 3 for action code ``code``; returns the Eq. 5 candidate.
+
+        The unchecked, allocation-free form a running agent calls once per
+        evaluated action.
+        """
+        alpha = self.learning_rate
+        values = self._values
+        row = values[state]
+        old = row[code]
+        candidate = (1.0 - alpha) * old + alpha * (
+            reward + self.discount_factor * max(values[next_state])
+        )
+        new = old - self.penalty
+        if candidate > new:
+            new = candidate
+        row[code] = new
+        self.updates += 1
+        policy = self._policy
+        current = policy[state]
+        if code != current and new > row[current]:
             # Eq. 3: only switch to a strictly better action.
-            self._policy[state] = action
-            policy_changed = True
-        return QUpdateResult(state, action, old, new, candidate, policy_changed)
+            policy[state] = code
+        return candidate
 
     # --------------------------------------------------------------- metrics
     def cumulative_policy_value(self) -> float:
         """Sum of Q-values of the policy actions over all subslots (Fig. 10 metric)."""
-        return sum(
-            self._values[m][self._policy[m].value] for m in range(self.num_states)
-        )
+        return sum(row[code] for row, code in zip(self._values, self._policy))
 
     def cumulative_max_value(self) -> float:
         """Sum of the per-subslot maximum Q-values."""
@@ -170,17 +190,13 @@ class QTable:
 
     def transmission_subslots(self) -> List[int]:
         """Subslots whose policy is a transmitting action (QCCA or QSend)."""
-        return [
-            m
-            for m in range(self.num_states)
-            if self._policy[m] in (QAction.QCCA, QAction.QSEND)
-        ]
+        return [m for m, code in enumerate(self._policy) if code != _QBACKOFF]
 
     def policy_counts(self) -> Dict[QAction, int]:
         """Number of subslots assigned to each action by the current policy."""
         counts = {action: 0 for action in ALL_ACTIONS}
-        for action in self._policy:
-            counts[action] += 1
+        for code in self._policy:
+            counts[ALL_ACTIONS[code]] += 1
         return counts
 
     def memory_footprint_bytes(self, bytes_per_entry: int = 4) -> int:
@@ -195,9 +211,8 @@ class QTable:
     def reset(self) -> None:
         """Reset all Q-values and the policy to their initial state."""
         for row in self._values:
-            for action in ALL_ACTIONS:
-                row[action.value] = self.q_init
-        self._policy = [QAction.QBACKOFF] * self.num_states
+            row[:] = [self.q_init] * len(ALL_ACTIONS)
+        self._policy[:] = [_QBACKOFF] * self.num_states
         self.updates = 0
 
     def as_rows(self) -> List[Tuple[int, float, float, float, str]]:
@@ -211,7 +226,7 @@ class QTable:
                     values[QAction.QBACKOFF.value],
                     values[QAction.QCCA.value],
                     values[QAction.QSEND.value],
-                    self._policy[m].short_name,
+                    ALL_ACTIONS[self._policy[m]].short_name,
                 )
             )
         return rows

@@ -289,13 +289,16 @@ def run_fluctuating(
         rng_name="fluctuating-c",
     )
 
+    ctx = CollectionContext(sim=sim, network=network, sources=SOURCES)
+    convergence = ConvergenceCollector()
+    convergence.attach(ctx)
+
     network.start()
     sim.schedule_at(node_c_join_time, traffic_c.start)
     sim.run_until(duration)
 
-    ctx = CollectionContext(sim=sim, network=network, sources=SOURCES)
     report = SimReport(experiment="hidden-node", mac="qma", duration=sim.now)
-    ConvergenceCollector().finalize(ctx, report)
+    convergence.finalize(ctx, report)
     return report.tables["q_history"]
 
 

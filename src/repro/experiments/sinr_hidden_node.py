@@ -51,9 +51,10 @@ COLLECTOR_OVERRIDES: Dict[str, Dict[str, Any]] = {
     "link-asymmetry": {"hidden_node": HIDDEN, "near_node": NEAR},
 }
 
-#: Default propagation parameters: unit disk with a decoupled, much wider
-#: carrier-sense range (the regime needs NEAR sensed — not decoded — at
-#: HIDDEN, 115 m away).
+#: Default propagation parameters of the runner's ``unit-disk`` model: a
+#: decoupled, much wider carrier-sense range (the regime needs NEAR sensed —
+#: not decoded — at HIDDEN, 115 m away).  Other models take their own
+#: defaults.
 DEFAULT_PROPAGATION_PARAMS: Dict[str, Any] = {
     "communication_range": COMMUNICATION_RANGE,
     "carrier_sense_range": CARRIER_SENSE_RANGE,
@@ -70,13 +71,13 @@ def _build(
     trace: bool,
     trace_limit: Optional[int],
 ) -> BuiltScenario:
+    if propagation_params is None:
+        propagation_params = DEFAULT_PROPAGATION_PARAMS if propagation == "unit-disk" else {}
     scenario = ScenarioConfig(
         topology="sinr-hidden-node",
         mac=mac,
         propagation=propagation,
-        propagation_params=dict(
-            DEFAULT_PROPAGATION_PARAMS if propagation_params is None else propagation_params
-        ),
+        propagation_params=dict(propagation_params),
         interference="sinr",
         sinr_threshold_db=sinr_threshold_db,
         seed=seed,

@@ -218,6 +218,8 @@ class ConvergenceCollector(MetricCollector):
     behind Figs. 10-12) for every source running QMA; emits a
     ``convergence_time`` scalar when ``emit_scalar`` is set (the latest
     per-node stabilisation time, ``inf`` if any node never stabilises).
+    Agents record their histories only when asked to, so :meth:`attach`
+    (before the run starts) switches recording on for every QMA source.
     """
 
     def __init__(
@@ -232,6 +234,10 @@ class ConvergenceCollector(MetricCollector):
 
     def provides(self) -> Tuple[str, ...]:
         return ("convergence_time",) if self.emit_scalar else ()
+
+    def attach(self, ctx: CollectionContext) -> None:
+        for _, mac in ctx.qma_macs():
+            mac.track_history = True
 
     def finalize(self, ctx: CollectionContext, report: SimReport) -> None:
         q_history: Dict[int, List[Tuple[float, float]]] = {}

@@ -44,7 +44,10 @@ ACKs, traffic generation, collectors — keeps running through the real
 objects: the MAC, queue, radio, startup tracker and neighbour tracker are
 retrofitted in place (``__class__`` swap to mirror subclasses whose
 properties read/write the arrays), so the rare serial paths observe and
-mutate the same state the vector phases do.
+mutate the same state the vector phases do.  The arrays use the serial
+agent's own int layout — action codes, pending kinds, a code-valued
+policy — so the one tick implementation, ``QmaMac._on_subslot``, runs
+unchanged over them whenever a boundary falls back to serial execution.
 
 Lanes whose configuration the kernel does not support (non-QMA MACs,
 windowed gates, ε-greedy exploration, ...) are executed serially — the
@@ -65,9 +68,9 @@ except ImportError:  # pragma: no cover - the CI image always has numpy
 
 from repro.core.actions import ALL_ACTIONS, QAction
 from repro.core.exploration import ParameterBasedExploration
-from repro.core.mac import QmaMac, _PendingAction, _PendingKind
+from repro.core.mac import _BACKOFF, _CCA_FAILED, _IDLE, _STARTUP, QmaMac
 from repro.core.neighbours import NeighbourQueueTracker
-from repro.core.qtable import QTable, QUpdateResult
+from repro.core.qtable import QTable
 from repro.core.startup import CautiousStartup
 from repro.mac.gate import AlwaysActiveGate
 from repro.mac.queue import PacketQueue
@@ -84,21 +87,6 @@ __all__ = [
 #: Exactly 2**-53 (a power of two, hence an exact float literal): CPython's
 #: ``random()`` multiplies by the same constant.
 _RECIP_53 = 1.0 / 9007199254740992.0
-
-#: Integer codes for ``_PendingKind`` in the struct-of-arrays state.
-_K_NONE = 0
-_K_BACKOFF = 1
-_K_CCA_FAILED = 2
-_K_TRANSMISSION = 3
-_K_STARTUP = 4
-
-_KIND_TO_CODE = {
-    _PendingKind.BACKOFF: _K_BACKOFF,
-    _PendingKind.CCA_FAILED: _K_CCA_FAILED,
-    _PendingKind.TRANSMISSION: _K_TRANSMISSION,
-    _PendingKind.STARTUP: _K_STARTUP,
-}
-_CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
 
 #: Sentinel larger than any sequence number a run can reach.
 _SEQ_HUGE = np.iinfo(np.int64).max if np is not None else 0
@@ -153,7 +141,6 @@ class _BatchStore:
         self.num_nodes = num_nodes
         self.num_subslots = config.num_subslots
         self.subslot_duration = config.subslot_duration
-        self.track_history = config.track_history
 
         qtable = sample.qtable
         self.alpha = qtable.learning_rate
@@ -179,21 +166,19 @@ class _BatchStore:
         self.P = np.empty((num_lanes, num_nodes, self.num_subslots), dtype=np.int64)
         self.updates = np.zeros(shape, dtype=np.int64)
 
+        #: The pending action's kind (the ``QmaMac`` codes), subslot and
+        #: overheard flag; a transmission's frame and generation stay on
+        #: the MAC, which alone creates and resolves transmissions.
         self.pend_kind = np.zeros(shape, dtype=np.int8)
-        self.pend_action = np.zeros(shape, dtype=np.int8)
         self.pend_state = np.zeros(shape, dtype=np.int64)
-        self.pend_counter = np.zeros(shape, dtype=np.int64)
         self.pend_overheard = np.zeros(shape, dtype=bool)
-        #: Monotone generation per slot: lets ``_pending`` hand out a stable
-        #: view object while the slot is unchanged (``_transmit_pending``
-        #: compares pendings by identity).
-        self.pend_gen = np.zeros(shape, dtype=np.int64)
-        self.pend_frames: List[List[Any]] = [[None] * num_nodes for _ in range(num_lanes)]
 
         self.subslot = np.zeros(shape, dtype=np.int64)
         self.next_subslot = np.zeros(shape, dtype=np.int64)
-        self.counter = np.zeros(shape, dtype=np.int64)
         self.frames_elapsed = np.zeros(shape, dtype=np.int64)
+        #: Each agent's ``track_history`` flag (fixed for the run):
+        #: histories are sampled only for the agents something reads.
+        self.track_history = np.zeros(shape, dtype=bool)
 
         self.startup_elapsed = np.zeros(shape, dtype=np.int64)
         self.startup_finished = np.zeros(shape, dtype=bool)
@@ -229,20 +214,21 @@ class _BatchStore:
         for lane in range(num_lanes):
             for node in range(num_nodes):
                 self._absorb(lane, node, self.macs[lane][node])
+        self.any_history = bool(self.track_history.any())
 
     # ---------------------------------------------------------------- setup
     def _absorb(self, lane: int, node: int, mac: QmaMac) -> None:
         """Copy one agent's state into the arrays and retrofit its objects."""
-        if mac._pending is not None:  # pragma: no cover - prepared lanes never ran
+        if mac._pend_kind != _IDLE:  # pragma: no cover - prepared lanes never ran
             raise BatchLockstepError("cannot absorb a MAC with an in-flight action")
         qtable = mac.qtable
         self.Q[lane, node] = qtable._values
-        self.P[lane, node] = [action.value for action in qtable._policy]
+        self.P[lane, node] = qtable._policy
         self.updates[lane, node] = qtable.updates
         self.subslot[lane, node] = mac._subslot
         self.next_subslot[lane, node] = mac._next_subslot
-        self.counter[lane, node] = mac._counter
         self.frames_elapsed[lane, node] = mac.frames_elapsed
+        self.track_history[lane, node] = mac.track_history
         startup = mac.startup
         self.startup_elapsed[lane, node] = startup._elapsed
         self.startup_finished[lane, node] = startup._finished
@@ -273,7 +259,6 @@ class _BatchStore:
         mac._bstore = self
         mac._bl = lane
         mac._bn = node
-        mac._pview = None
         mac.__class__ = BatchQmaMac
 
     # ----------------------------------------------------------------- words
@@ -308,6 +293,8 @@ class _BatchStore:
         times = np.concatenate([np.full(len(il), t) for t, il, _, _ in batches])
         values = np.concatenate([v for _, _, _, v in batches])
         batches.clear()
+        if not keys.size:
+            return
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         times = times[order]
@@ -332,8 +319,8 @@ class _BatchStore:
         for lane in range(self.num_lanes):
             for node in range(self.num_nodes):
                 stats = self.macs[lane][node].action_stats
-                for action in ALL_ACTIONS:
-                    stats.selected[action] += int(self.sel_counts[lane, node, action.value])
+                for code, count in enumerate(self.sel_counts[lane, node].tolist()):
+                    stats.counts[code] += count
                 stats.random_selections += int(self.random_sel[lane, node])
                 stats.greedy_selections += int(self.greedy_sel[lane, node])
         self.sel_counts[:] = 0
@@ -397,87 +384,34 @@ class BatchedMtStream:
         return seq[self._randbelow(len(seq))]
 
 
-class _BatchPendingView:
-    """A ``_PendingAction`` whose fields live in the store.
+class BatchQTable(QTable):
+    """A :class:`~repro.core.qtable.QTable` over one agent's store slices.
 
-    The view carries the generation it was built for; the ``_pending``
-    property returns the *same* view object while the slot's generation is
-    unchanged, preserving the ``self._pending is not pending`` identity
-    check in ``QmaMac._transmit_pending``.
+    ``_values`` and ``_policy`` are views of the agent's rows of the Q and
+    policy arrays, so every inherited method — the int-coded ``_update`` a
+    serial tick calls included — reads and writes the arrays with the
+    serial table's own expression tree, and the kernel's vectorized
+    updates see the result.
     """
-
-    __slots__ = ("_store", "_lane", "_node", "_gen")
-
-    def __init__(self, store: _BatchStore, lane: int, node: int, gen: int) -> None:
-        self._store = store
-        self._lane = lane
-        self._node = node
-        self._gen = gen
-
-    @property
-    def kind(self) -> _PendingKind:
-        return _CODE_TO_KIND[int(self._store.pend_kind[self._lane, self._node])]
-
-    @property
-    def action(self) -> QAction:
-        return ALL_ACTIONS[int(self._store.pend_action[self._lane, self._node])]
-
-    @property
-    def state(self) -> int:
-        return int(self._store.pend_state[self._lane, self._node])
-
-    @property
-    def counter(self) -> int:
-        return int(self._store.pend_counter[self._lane, self._node])
-
-    @property
-    def frame(self) -> Any:
-        return self._store.pend_frames[self._lane][self._node]
-
-    @property
-    def overheard(self) -> bool:
-        return bool(self._store.pend_overheard[self._lane, self._node])
-
-    @overheard.setter
-    def overheard(self, value: bool) -> None:
-        self._store.pend_overheard[self._lane, self._node] = value
-
-
-class BatchQTable:
-    """The full :class:`~repro.core.qtable.QTable` API over the store arrays.
-
-    Scalar updates replicate QTable.update operation-for-operation (same
-    Python-float expression tree), so a serial-path update and a vectorized
-    one produce bitwise identical values.
-    """
-
-    __slots__ = ("_store", "_lane", "_node")
 
     def __init__(self, store: _BatchStore, lane: int, node: int) -> None:
+        # The table's state is the store's; nothing of QTable.__init__ applies.
+        self.num_states = store.num_subslots
+        self.learning_rate = store.alpha
+        self.discount_factor = store.gamma
+        self.penalty = store.penalty
+        self.q_init = store.q_init
         self._store = store
         self._lane = lane
         self._node = node
 
-    # -- parameters -------------------------------------------------------
     @property
-    def num_states(self) -> int:
-        return self._store.num_subslots
+    def _values(self) -> Any:
+        return self._store.Q[self._lane, self._node]
 
     @property
-    def learning_rate(self) -> float:
-        return self._store.alpha
-
-    @property
-    def discount_factor(self) -> float:
-        return self._store.gamma
-
-    @property
-    def penalty(self) -> float:
-        return self._store.penalty
-
-    @property
-    def q_init(self) -> float:
-        return self._store.q_init
+    def _policy(self) -> Any:
+        return self._store.P[self._lane, self._node]
 
     @property
     def updates(self) -> int:
@@ -487,119 +421,9 @@ class BatchQTable:
     def updates(self, value: int) -> None:
         self._store.updates[self._lane, self._node] = value
 
-    # -- access -----------------------------------------------------------
-    def value(self, state: int, action: QAction) -> float:
-        return float(self._store.Q[self._lane, self._node, state, action.value])
-
-    def set_value(self, state: int, action: QAction, value: float) -> None:
-        self._store.Q[self._lane, self._node, state, action.value] = value
-
-    def max_value(self, state: int) -> float:
-        return float(self._store.Q[self._lane, self._node, state].max())
-
-    def best_action(self, state: int) -> QAction:
-        row = self._store.Q[self._lane, self._node, state]
-        best = row.max()
-        for action in ALL_ACTIONS:
-            if row[action.value] == best:
-                return action
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def policy(self, state: int) -> QAction:
-        return ALL_ACTIONS[int(self._store.P[self._lane, self._node, state])]
-
-    def set_policy(self, state: int, action: QAction) -> None:
-        self._store.P[self._lane, self._node, state] = action.value
-
-    def policy_snapshot(self) -> List[QAction]:
-        return [ALL_ACTIONS[v] for v in self._store.P[self._lane, self._node].tolist()]
-
-    def values_snapshot(self) -> List[Dict[QAction, float]]:
-        rows = self._store.Q[self._lane, self._node].tolist()
-        return [{action: row[action.value] for action in ALL_ACTIONS} for row in rows]
-
-    # -- update -----------------------------------------------------------
-    def update(self, state: int, action: QAction, reward: float, next_state: int) -> QUpdateResult:
-        store, lane, node = self._store, self._lane, self._node
-        if not 0 <= state < store.num_subslots:
-            raise IndexError(f"state {state} out of range")
-        if not 0 <= next_state < store.num_subslots:
-            raise IndexError(f"next_state {next_state} out of range")
-        alpha = store.alpha
-        row = store.Q[lane, node, state]
-        old = float(row[action.value])
-        candidate = (1.0 - alpha) * old + alpha * (
-            reward + store.gamma * float(store.Q[lane, node, next_state].max())
-        )
-        new = max(old - store.penalty, candidate)
-        row[action.value] = new
-        store.updates[lane, node] += 1
-
-        policy_changed = False
-        policy_value = int(store.P[lane, node, state])
-        if action.value != policy_value and new > float(row[policy_value]):
-            store.P[lane, node, state] = action.value
-            policy_changed = True
-        return QUpdateResult(state, action, old, new, candidate, policy_changed)
-
-    # -- metrics ----------------------------------------------------------
     def cumulative_policy_value(self) -> float:
-        store, lane, node = self._store, self._lane, self._node
-        values = store.Q[lane, node]
-        policy = store.P[lane, node]
-        # Ordered per-subslot adds: matches both the serial generator sum
-        # and the kernel's vectorized accumulation bit-for-bit.
-        total = 0.0
-        for m in range(store.num_subslots):
-            total += float(values[m, policy[m]])
-        return total
-
-    def cumulative_max_value(self) -> float:
-        total = 0.0
-        for m in range(self._store.num_subslots):
-            total += self.max_value(m)
-        return total
-
-    def transmission_subslots(self) -> List[int]:
-        policy = self._store.P[self._lane, self._node]
-        return [m for m in range(self._store.num_subslots) if policy[m] != QAction.QBACKOFF.value]
-
-    def policy_counts(self) -> Dict[QAction, int]:
-        counts = {action: 0 for action in ALL_ACTIONS}
-        for value in self._store.P[self._lane, self._node].tolist():
-            counts[ALL_ACTIONS[value]] += 1
-        return counts
-
-    def memory_footprint_bytes(self, bytes_per_entry: int = 4) -> int:
-        return self.num_states * (len(ALL_ACTIONS) * bytes_per_entry + 1)
-
-    def reset(self) -> None:
-        store, lane, node = self._store, self._lane, self._node
-        store.Q[lane, node] = store.q_init
-        store.P[lane, node] = QAction.QBACKOFF.value
-        store.updates[lane, node] = 0
-
-    def as_rows(self) -> List[Tuple[int, float, float, float, str]]:
-        store, lane, node = self._store, self._lane, self._node
-        rows = []
-        for m in range(store.num_subslots):
-            values = store.Q[lane, node, m]
-            rows.append(
-                (
-                    m,
-                    float(values[QAction.QBACKOFF.value]),
-                    float(values[QAction.QCCA.value]),
-                    float(values[QAction.QSEND.value]),
-                    ALL_ACTIONS[int(store.P[lane, node, m])].short_name,
-                )
-            )
-        return rows
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"BatchQTable(states={self.num_states}, updates={self.updates}, "
-            f"cumulative={self.cumulative_policy_value():.1f})"
-        )
+        # A Python float, like the kernel's history samples.
+        return float(QTable.cumulative_policy_value(self))
 
 
 class BatchPacketQueue(PacketQueue):
@@ -693,9 +517,9 @@ class BatchQmaMac(QmaMac):
 
     Instances are never constructed — prepared lanes are retrofitted via a
     ``__class__`` swap.  The data-descriptor properties shadow the original
-    instance attributes, so untouched serial methods (boundary evaluation,
-    transaction completion, overhearing) transparently operate on the
-    arrays.
+    instance attributes, so the one serial tick and the untouched serial
+    methods (transaction completion, overhearing) transparently operate on
+    the arrays.
     """
 
     @property
@@ -715,14 +539,6 @@ class BatchQmaMac(QmaMac):
         self._bstore.next_subslot[self._bl, self._bn] = value
 
     @property
-    def _counter(self) -> int:
-        return int(self._bstore.counter[self._bl, self._bn])
-
-    @_counter.setter
-    def _counter(self, value: int) -> None:
-        self._bstore.counter[self._bl, self._bn] = value
-
-    @property
     def frames_elapsed(self) -> int:
         return int(self._bstore.frames_elapsed[self._bl, self._bn])
 
@@ -731,32 +547,28 @@ class BatchQmaMac(QmaMac):
         self._bstore.frames_elapsed[self._bl, self._bn] = value
 
     @property
-    def _pending(self) -> Optional[_BatchPendingView]:
-        store, lane, node = self._bstore, self._bl, self._bn
-        if store.pend_kind[lane, node] == _K_NONE:
-            return None
-        gen = int(store.pend_gen[lane, node])
-        view = self._pview
-        if view is None or view._gen != gen:
-            view = _BatchPendingView(store, lane, node, gen)
-            self._pview = view
-        return view
+    def _pend_kind(self) -> int:
+        return int(self._bstore.pend_kind[self._bl, self._bn])
 
-    @_pending.setter
-    def _pending(self, value: Optional[_PendingAction]) -> None:
-        store, lane, node = self._bstore, self._bl, self._bn
-        store.pend_gen[lane, node] += 1
-        self._pview = None
-        if value is None:
-            store.pend_kind[lane, node] = _K_NONE
-            store.pend_frames[lane][node] = None
-            return
-        store.pend_kind[lane, node] = _KIND_TO_CODE[value.kind]
-        store.pend_action[lane, node] = value.action.value
-        store.pend_state[lane, node] = value.state
-        store.pend_counter[lane, node] = value.counter
-        store.pend_overheard[lane, node] = value.overheard
-        store.pend_frames[lane][node] = value.frame
+    @_pend_kind.setter
+    def _pend_kind(self, value: int) -> None:
+        self._bstore.pend_kind[self._bl, self._bn] = value
+
+    @property
+    def _pend_state(self) -> int:
+        return int(self._bstore.pend_state[self._bl, self._bn])
+
+    @_pend_state.setter
+    def _pend_state(self, value: int) -> None:
+        self._bstore.pend_state[self._bl, self._bn] = value
+
+    @property
+    def _pend_overheard(self) -> bool:
+        return bool(self._bstore.pend_overheard[self._bl, self._bn])
+
+    @_pend_overheard.setter
+    def _pend_overheard(self, value: bool) -> None:
+        self._bstore.pend_overheard[self._bl, self._bn] = value
 
     def start(self) -> None:
         raise SimulationError("cannot (re)start a MAC inside a running seed batch")
@@ -957,12 +769,11 @@ class _LockstepKernel:
 
         # Phase 0 — clock bookkeeping and the Fig. 10 history sample.
         store.subslot[mask] = store.next_subslot[mask]
-        store.counter[mask] += 1
         frame_start = mask & (store.subslot == 0)
         if frame_start.any():
             store.frames_elapsed[frame_start] += 1
-            if store.track_history:
-                il, inn = np.nonzero(frame_start)
+            if store.any_history:
+                il, inn = np.nonzero(frame_start & store.track_history)
                 rows = np.take_along_axis(
                     store.Q[il, inn], store.P[il, inn][:, :, None], axis=2
                 )[:, :, 0]
@@ -974,9 +785,9 @@ class _LockstepKernel:
                 store.q_hist_batches.append((t, il, inn, acc))
 
         # Phase 1 — evaluate pendings whose outcome resolves at the boundary.
-        eval_backoff = mask & (store.pend_kind == _K_BACKOFF)
-        eval_cca = mask & (store.pend_kind == _K_CCA_FAILED)
-        eval_startup = mask & (store.pend_kind == _K_STARTUP)
+        eval_backoff = mask & (store.pend_kind == _BACKOFF)
+        eval_cca = mask & (store.pend_kind == _CCA_FAILED)
+        eval_startup = mask & (store.pend_kind == _STARTUP)
         if eval_backoff.any():
             il, inn = np.nonzero(eval_backoff)
             reward = np.where(
@@ -1000,19 +811,15 @@ class _LockstepKernel:
                 self._vector_update(ol, on, QAction.QSEND.value, store.startup_send_punishment)
         resolved = eval_backoff | eval_cca | eval_startup
         if resolved.any():
-            store.pend_kind[resolved] = _K_NONE
-            store.pend_gen[resolved] += 1
+            store.pend_kind[resolved] = _IDLE
 
         # Phase 2 — startup observation or action selection.
-        idle = mask & (store.pend_kind == _K_NONE) & ~store.radio_transmitting
+        idle = mask & (store.pend_kind == _IDLE) & ~store.radio_transmitting
         startup_obs = idle & ~store.startup_finished
         if startup_obs.any():
-            store.pend_kind[startup_obs] = _K_STARTUP
-            store.pend_action[startup_obs] = QAction.QBACKOFF.value
+            store.pend_kind[startup_obs] = _STARTUP
             store.pend_state[startup_obs] = store.subslot[startup_obs]
-            store.pend_counter[startup_obs] = store.counter[startup_obs]
             store.pend_overheard[startup_obs] = False
-            store.pend_gen[startup_obs] += 1
             store.startup_elapsed[startup_obs] += 1
             store.startup_finished |= startup_obs & (
                 store.startup_elapsed >= store.startup_duration
@@ -1036,8 +843,10 @@ class _LockstepKernel:
             table = store.exploration_table
             index = np.clip(difference.astype(np.int64), 0, len(table) - 1)
             rho = np.where(difference > 0, table[index], table[0])
-            if store.track_history:
-                store.rho_hist_batches.append((t, il, inn, rho))
+            if store.any_history:
+                tracked = store.track_history[il, inn]
+                if tracked.any():
+                    store.rho_hist_batches.append((t, il[tracked], inn[tracked], rho[tracked]))
 
             # The ρ-draw: two MT words per element, CPython random() exactly.
             need = np.nonzero(store.cursor[il, inn] > store.WORD_BUFFER - 2)[0]
@@ -1080,12 +889,9 @@ class _LockstepKernel:
             backoff = actions == QAction.QBACKOFF.value
             if backoff.any():
                 bl, bn = il[backoff], inn[backoff]
-                store.pend_kind[bl, bn] = _K_BACKOFF
-                store.pend_action[bl, bn] = QAction.QBACKOFF.value
+                store.pend_kind[bl, bn] = _BACKOFF
                 store.pend_state[bl, bn] = store.subslot[bl, bn]
-                store.pend_counter[bl, bn] = store.counter[bl, bn]
                 store.pend_overheard[bl, bn] = False
-                store.pend_gen[bl, bn] += 1
             for k in np.nonzero(~backoff)[0].tolist():
                 delegates.setdefault(int(il[k]), {})[int(inn[k])] = int(actions[k])
         return delegates
@@ -1125,7 +931,7 @@ class _LockstepKernel:
                     action = lane_delegates.get(node)
                     if action is not None:
                         mac = store.macs[lane][node]
-                        mac._execute(ALL_ACTIONS[action], int(store.subslot[lane, node]))
+                        mac._execute(action, int(store.subslot[lane, node]))
                     store.tick_seq[lane, node] = next(sim._seq)
             else:
                 # No heap events will be scheduled: bulk-consume one seq per

@@ -97,6 +97,23 @@ class TestSinrHiddenNodeDeterminism:
         assert by_threshold[10.0]["hidden_delivered"] == 0.0
         assert by_threshold[3.0]["hidden_delivered"] > 0.0
 
+    def test_other_propagation_models_take_their_own_defaults(self):
+        """The runner's unit-disk range parameters are not forced onto
+        other models (log-distance has no ``communication_range``)."""
+        sweep = Sweep(
+            experiment="sinr-hidden-node",
+            macs=("unslotted-csma",),
+            propagations=("log-distance",),
+            fixed={"packets_per_node": 5, "warmup": 0.5, "delta": 25.0},
+            seeds=(0, 1),
+        )
+        with CampaignRunner(jobs=1) as runner:
+            campaign = runner.run(sweep)
+        assert len(campaign.records) == sweep.size == 2
+        for record in campaign.records:
+            assert record.metrics["packets_generated"] > 0
+            assert 0.0 <= record.metrics["pdr"] <= 1.0
+
 
 class TestHiddenNodeInterferenceAxis:
     def test_interference_axis_across_propagations(self):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.core.actions import QAction
 from repro.core.config import QmaConfig
 from repro.core.exploration import ConstantEpsilon
-from repro.core.mac import QmaMac
+from repro.core.mac import _IDLE, QmaMac
 from repro.mac.gate import WindowedGate
 from repro.phy.channel import WirelessChannel
 from repro.phy.frames import BROADCAST, Frame, FrameKind
@@ -202,6 +202,38 @@ def test_rho_history_tracks_exploration_probability():
     sim.run_until(0.5)
     assert mac_a.rho_history
     assert all(0.0 <= rho <= 1.0 for _, rho in mac_a.rho_history)
+
+
+def test_histories_are_not_recorded_unless_asked_for():
+    sim, mac_a, _ = build_pair(config=small_config(track_history=False))
+    for _ in range(10):
+        mac_a.send(Frame(FrameKind.DATA, src=0, dst=1, payload_bytes=20))
+    sim.run_until(0.5)
+    assert mac_a.frames_elapsed > 0 and mac_a.action_stats.total > 0
+    assert mac_a.q_history == [] and mac_a.rho_history == []
+
+
+def _after_idle_cca(drop_pending):
+    """A QMA agent that chose QCCA on an idle channel, run past the CCA."""
+    sim = Simulator(seed=1)
+    channel = WirelessChannel(sim)
+    radio_a = Radio(sim, channel, 0)
+    Radio(sim, channel, 1)
+    channel.connect(0, 1)
+    mac = QmaMac(sim, radio_a, config=small_config())
+    mac.queue.push(Frame(FrameKind.DATA, src=0, dst=1, payload_bytes=20))
+    mac._execute(QAction.QCCA.value, 0)
+    if drop_pending:
+        mac._pend_kind = _IDLE
+    sim.run_until(1e-3)
+    return mac
+
+
+def test_transmit_after_idle_cca_needs_its_pending_action():
+    assert _after_idle_cca(drop_pending=False).radio.frames_sent == 1
+    # The stale-transmit guard: the pending the transmit was scheduled for
+    # is gone, so the scheduled transmit does nothing.
+    assert _after_idle_cca(drop_pending=True).radio.frames_sent == 0
 
 
 def test_broadcasts_are_transmitted_without_ack():
