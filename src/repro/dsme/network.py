@@ -107,11 +107,10 @@ class DsmeNetwork:
         cap_mac_config: Optional[object] = None,
         route_discovery_period: Optional[float] = 2.0,
         link_error_rate: float = 0.0,
-        static_links: Optional[bool] = None,
         interference: str = "collision",
         sinr_threshold_db: float = 10.0,
         propagation_model: Optional[object] = None,
-        prebuilt_links: Optional[Mapping[int, Sequence[Tuple[int, float, float]]]] = None,
+        prebuilt_powers: Optional[Mapping[int, Sequence[Tuple[int, float]]]] = None,
         prebuilt_cs: Optional[Mapping[int, Sequence[Tuple[int, float]]]] = None,
     ) -> None:
         if cap_mac not in MAC_REGISTRY:
@@ -136,11 +135,10 @@ class DsmeNetwork:
             topology,
             self._build_mac,
             link_error_rate=link_error_rate,
-            static_links=static_links,
             interference=interference,
             sinr_threshold_db=sinr_threshold_db,
             propagation_model=propagation_model,
-            prebuilt_links=prebuilt_links,
+            prebuilt_powers=prebuilt_powers,
             prebuilt_cs=prebuilt_cs,
         )
         self.dsme_nodes: Dict[int, DsmeNode] = {}

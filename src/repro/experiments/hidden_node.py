@@ -43,18 +43,6 @@ DEFAULT_COLLECTORS = ("pdr", "queue", "delay", "attempts", "convergence")
 #: defaults already match the hidden-node metric conventions).
 COLLECTOR_OVERRIDES: Dict[str, Dict[str, Any]] = {}
 
-#: Attribute names of the retired ``HiddenNodeResult`` dataclass mapped
-#: onto report sections (resolved with a DeprecationWarning).
-_LEGACY_ATTRS = {
-    "q_histories": ("tables", "q_history"),
-    "rho_histories": ("tables", "rho_history"),
-    "policies": ("tables", "policy"),
-}
-
-#: Deprecated alias: the hidden-node runners now return a
-#: :class:`~repro.metrics.report.SimReport`.
-HiddenNodeResult = SimReport
-
 
 def _default_qma_config() -> QmaConfig:
     return QmaConfig()
@@ -187,7 +175,6 @@ def run_hidden_node(
         },
         duration=sim.now,
         trace_dropped=ctx.trace_dropped(),
-        legacy=dict(_LEGACY_ATTRS),
     )
     for collector in active:
         collector.finalize(ctx, report)

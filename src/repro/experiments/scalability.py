@@ -38,14 +38,6 @@ DEFAULT_COLLECTORS = ("dsme",)
 
 COLLECTOR_OVERRIDES: Dict[str, Dict[str, Any]] = {}
 
-_LEGACY_ATTRS = {
-    "secondary": ("details", "secondary"),
-}
-
-#: Deprecated alias: the scalability runner now returns a
-#: :class:`~repro.metrics.report.SimReport`.
-ScalabilityResult = SimReport
-
 
 def run_scalability(
     mac: str = "qma",
@@ -164,7 +156,6 @@ def run_scalability(
         params=report_params,
         duration=sim.now,
         trace_dropped=ctx.trace_dropped(),
-        legacy=dict(_LEGACY_ATTRS),
     )
     for collector in active:
         collector.finalize(ctx, report)

@@ -45,14 +45,6 @@ COLLECTOR_OVERRIDES: Dict[str, Dict[str, Any]] = {
     },
 }
 
-_LEGACY_ATTRS = {
-    "per_node_pdr": ("tables", "pdr_per_node"),
-}
-
-#: Deprecated alias: the testbed runners now return a
-#: :class:`~repro.metrics.report.SimReport`.
-TestbedResult = SimReport
-
 
 @dataclass
 class PreparedTopologyRun:
@@ -209,7 +201,6 @@ def prepare_topology_run(
             },
             duration=sim.now,
             trace_dropped=ctx.trace_dropped(),
-            legacy=dict(_LEGACY_ATTRS),
         )
         for collector in active:
             collector.finalize(ctx, report)

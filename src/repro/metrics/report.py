@@ -4,26 +4,17 @@ A :class:`SimReport` is the single result type of the reproduction: scalar
 metrics keyed by name, named time series, per-node tables and typed detail
 objects, plus the scenario identity (experiment, MAC, topology, parameters)
 and the simulated duration.  It replaces the per-experiment result
-dataclasses (``HiddenNodeResult``, ``TestbedResult``, ``ScalabilityResult``)
-of earlier releases.
+dataclasses of earlier releases.
 
 Scalars and scenario parameters are additionally readable as attributes
-(``report.pdr``, ``report.delta``), which keeps most existing call sites
-working unchanged.  Attributes of the retired result dataclasses that do
-not map onto a scalar or parameter (``q_histories``, ``per_node_pdr``,
-``secondary``, ...) are resolved through a per-report legacy-attribute map
-and emit a :class:`DeprecationWarning`; the map is scheduled for removal
-one release after the redesign.
+(``report.pdr``, ``report.delta``); everything else lives in its section
+(``report.tables["q_history"]``, ``report.details["secondary"]``, ...).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
-
-#: ``legacy`` map entry: old attribute name -> (report section, key).
-LegacyRef = Tuple[str, str]
 
 
 @dataclass
@@ -63,7 +54,6 @@ class SimReport:
     tables: Dict[str, Dict[Any, Any]] = field(default_factory=dict)
     details: Dict[str, Any] = field(default_factory=dict)
     trace_dropped: int = 0
-    legacy: Dict[str, LegacyRef] = field(default_factory=dict, repr=False, compare=False)
 
     # -------------------------------------------------------------- accessors
     def scalar(self, name: str) -> float:
@@ -94,19 +84,6 @@ class SimReport:
         params = data.get("params")
         if params is not None and name in params:
             return params[name]
-        legacy = data.get("legacy")
-        if legacy is not None and name in legacy:
-            section, key = legacy[name]
-            section_data = data.get(section) or {}
-            if key in section_data:
-                warnings.warn(
-                    f"SimReport.{name} is a deprecated alias for "
-                    f"report.{section}[{key!r}] and will be removed in the "
-                    "next release",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                return section_data[key]
         raise AttributeError(
             f"{type(self).__name__!s} has no attribute {name!r} "
             f"(scalars: {sorted(scalars or ())}, params: {sorted(params or ())})"

@@ -35,11 +35,10 @@ class Network:
         mac_factory: MacFactory,
         phy: Optional[PhyParameters] = None,
         link_error_rate: float = 0.0,
-        static_links: Optional[bool] = None,
         interference: str = "collision",
         sinr_threshold_db: float = 10.0,
         propagation_model: Optional["PropagationModel"] = None,
-        prebuilt_links: Optional[Mapping[int, Sequence[Tuple[int, float, float]]]] = None,
+        prebuilt_powers: Optional[Mapping[int, Sequence[Tuple[int, float]]]] = None,
         prebuilt_cs: Optional[Mapping[int, Sequence[Tuple[int, float]]]] = None,
     ) -> None:
         self.sim = sim
@@ -47,7 +46,6 @@ class Network:
         self.channel = WirelessChannel(
             sim,
             phy,
-            static_links=static_links,
             interference=interference,
             sinr_threshold_db=sinr_threshold_db,
         )
@@ -68,72 +66,44 @@ class Network:
                 sink_id=topology.sink,
             )
 
-        # This wiring sequence (node-id-ordered set creation above, link-set
-        # iteration order here) defines the channel's delivery order;
-        # repro.scenario.artifacts.link_table_skeleton replays it verbatim,
-        # and the build-cache test suite pins the parity per topology.
         for link in topology.links:
             a, b = tuple(link)
             self.channel.connect(a, b)
             if link_error_rate > 0.0:
                 self.channel.set_link_error_rate(a, b, link_error_rate)
         if interference == "sinr":
-            self._wire_sinr(propagation_model, prebuilt_links, prebuilt_cs)
-        if prebuilt_links is not None:
-            # Cached construction artifacts: the channel's first transmission
-            # maps these shared (receiver, power, PER) rows onto this run's
-            # radios instead of re-deriving receiver order from the
-            # neighbour sets.  Installed last — power/sensed wiring above
-            # invalidates (and would drop) an earlier preset.
-            self.channel.preset_link_table(prebuilt_links)
+            self._wire_sinr(propagation_model, prebuilt_powers, prebuilt_cs)
 
     def _wire_sinr(
         self,
         model: Optional["PropagationModel"],
-        prebuilt_links: Optional[Mapping[int, Sequence[Tuple[int, float, float]]]],
+        prebuilt_powers: Optional[Mapping[int, Sequence[Tuple[int, float]]]],
         prebuilt_cs: Optional[Mapping[int, Sequence[Tuple[int, float]]]],
     ) -> None:
         """Wire per-link received powers and carrier-sense-only links.
 
         Powers and sensed pairs come from the prebuilt construction
-        artifacts when available (the cached fast path), otherwise they are
-        derived live from the propagation model — the same enumeration
-        order :func:`repro.scenario.artifacts.carrier_sense_skeleton` uses,
-        so both routes produce identical channel wiring.
+        artifacts when available, otherwise they are derived from the
+        propagation model by the same functions that build the artifacts.
         """
+        if prebuilt_powers is None or prebuilt_cs is None:
+            if model is None:
+                raise ValueError(
+                    "interference='sinr' needs prebuilt link/carrier-sense tables "
+                    "or a propagation model to derive received powers from"
+                )
+            # Deferred: repro.scenario imports this module.
+            from repro.scenario.artifacts import carrier_sense_skeleton, link_power_skeleton
+
+            prebuilt_powers = link_power_skeleton(self.topology, model)
+            prebuilt_cs = carrier_sense_skeleton(self.topology, model)
         channel = self.channel
-        topology = self.topology
-        if prebuilt_links is not None and prebuilt_cs is not None:
-            for sender, rows in prebuilt_links.items():
-                for receiver, power_dbm, _per in rows:
-                    channel.set_link_power(sender, receiver, power_dbm)
-            for sender, rows in prebuilt_cs.items():
-                for receiver, power_dbm in rows:
-                    channel.connect_sensed(sender, receiver, power_dbm)
-            return
-        if model is None:
-            raise ValueError(
-                "interference='sinr' needs prebuilt link/carrier-sense tables "
-                "or a propagation model to derive received powers from"
-            )
-        positions = {node_id: topology.position(node_id) for node_id in topology.node_ids}
-        linked: Dict[int, set] = {node_id: set() for node_id in topology.node_ids}
-        for link in topology.links:
-            a, b = tuple(link)
-            linked[a].add(b)
-            linked[b].add(a)
-            channel.set_link_power(a, b, model.received_power_dbm(positions[a], positions[b]))
-            channel.set_link_power(b, a, model.received_power_dbm(positions[b], positions[a]))
-        ids = list(topology.node_ids)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                if b in linked[a]:
-                    continue
-                pos_a, pos_b = positions[a], positions[b]
-                if model.in_carrier_sense_range(pos_a, pos_b):
-                    channel.connect_sensed(a, b, model.received_power_dbm(pos_a, pos_b))
-                if model.in_carrier_sense_range(pos_b, pos_a):
-                    channel.connect_sensed(b, a, model.received_power_dbm(pos_b, pos_a))
+        for sender, rows in prebuilt_powers.items():
+            for receiver, power_dbm in rows:
+                channel.set_link_power(sender, receiver, power_dbm)
+        for sender, rows in prebuilt_cs.items():
+            for receiver, power_dbm in rows:
+                channel.connect_sensed(sender, receiver, power_dbm)
 
     # ------------------------------------------------------------------ control
     def start(self) -> None:

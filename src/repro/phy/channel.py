@@ -39,44 +39,25 @@ Frames are delivered to every in-range radio, not only the addressed one;
 the MAC layer decides what to do with overheard frames.  QMA relies on this
 to reward ``QBackoff`` when a foreign DATA or ACK frame is overheard.
 
-Static link table
------------------
-Topologies in this reproduction are static: links are wired (or derived
-from a propagation model) once at network construction and never change
-during a run.  The channel exploits this with a precomputed *link table* —
-per sender, an ordered row of ``(receiver_id, radio, arriving_list,
-packet_error_rate)`` tuples — built lazily on the first transmission, so
-the per-delivery path is a flat iteration over prebuilt rows instead of
-set/dict lookups per receiver.  The receiver order of each row is exactly
-the neighbour-set iteration order of the dynamic path, so results are
-bit-identical (per-link error draws consume the channel RNG in the same
-order).
-
-Mutating the topology (``connect`` / ``disconnect`` /
-``set_link_error_rate`` / ``register``) *after* the table was first used
-permanently demotes the channel to the dynamic fallback path — mobile or
-mutating topologies keep the original per-delivery semantics without any
-caller cooperation.  Channels can also be created with
-``static_links=False`` to opt out up front.  Transmissions in flight at
-demotion time lose their row snapshot and finish on the dynamic path, so
-the static and dynamic modes agree even across the mutating event itself.
-
-Prebuilt skeleton
------------------
-The construction cache (:mod:`repro.scenario.artifacts`) shares one
-link-table *skeleton* — per sender, the ordered ``(receiver_id,
-rx_power_dbm, PER)`` rows — across every run of a sweep.
-:meth:`WirelessChannel.preset_link_table` installs such a skeleton after
-wiring; the first transmission then maps it onto this run's radios and
-arriving lists instead of re-deriving the receiver order from the
-neighbour sets.  The skeleton is read-only and shared: any mutation simply
-*drops this channel's reference* (before first use the table is later
-derived from the live wiring, after first use the channel demotes to the
-dynamic path as usual), so a demoting run never corrupts the bundle other
-runs still consume (copy-on-demote).  The SINR model rides the same fast
-path: its rows additionally carry the precomputed linear signal power, and
-a parallel *sense table* maps senders onto the sensing lists of their
+Link table
+----------
+Deliveries run over a precomputed *link table* — per sender, an ordered
+row of ``(receiver_id, radio, arriving_list, packet_error_rate,
+signal_mw)`` tuples — built lazily from the channel's own wiring on the
+first transmission, so the per-delivery path is a flat iteration over
+prebuilt rows instead of set/dict lookups per receiver.  Row order is the
+neighbour-set iteration order, which fixes the order in which per-link
+error draws consume the channel RNG.  Under the SINR model a parallel
+*sense table* maps senders onto the sensing lists of their
 carrier-sense-only receivers.
+
+Any mutation (``register`` / ``connect`` / ``disconnect`` /
+``connect_sensed`` / ``disconnect_sensed`` / ``set_link_error_rate`` /
+``set_link_power``) drops the table and the next transmission rebuilds it
+in full.  A frame already on the air keeps the rows it started with: a
+receiver linked mid-flight does not get it, and a receiver whose link was
+removed mid-flight gets neither the frame nor a corruption notice (the
+disconnect purged the frame from its arriving list).
 """
 
 from __future__ import annotations
@@ -87,7 +68,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -130,12 +110,10 @@ class ActiveTransmission:
     start: float
     end: float
     corrupted_for: Set[int] = field(default_factory=set)
-    #: Link-table rows snapshotted at transmission start (static path only;
-    #: None when the channel runs on the dynamic fallback).
-    rows: Optional[Sequence[_LinkRow]] = None
-    #: Sense-table rows snapshotted at transmission start (static SINR path
-    #: only; cleared together with ``rows`` on demotion).
-    sense_rows: Optional[Sequence[_SenseRow]] = None
+    #: Link-table rows snapshotted at transmission start.
+    rows: Sequence[_LinkRow] = ()
+    #: Sense-table rows snapshotted at transmission start (SINR model only).
+    sense_rows: Sequence[_SenseRow] = ()
 
 
 class WirelessChannel:
@@ -147,11 +125,6 @@ class WirelessChannel:
         The simulation engine.
     phy:
         PHY timing parameters (shared by all radios on the channel).
-    static_links:
-        Use the precomputed link table for deliveries (default: the class
-        attribute :attr:`DEFAULT_STATIC_LINKS`, True).  Pass False for
-        topologies that mutate mid-run; a mutation after the first
-        transmission demotes a static channel automatically.
     interference:
         ``"collision"`` (default) — the paper's binary overlap model;
         ``"sinr"`` — signal-power interference with capture (see the
@@ -163,15 +136,10 @@ class WirelessChannel:
         model).
     """
 
-    #: Process-wide default for the ``static_links`` constructor argument;
-    #: tests flip this to verify the dynamic fallback end to end.
-    DEFAULT_STATIC_LINKS = True
-
     def __init__(
         self,
         sim: "Simulator",
         phy: Optional[PhyParameters] = None,
-        static_links: Optional[bool] = None,
         interference: str = "collision",
         sinr_threshold_db: float = DEFAULT_SINR_THRESHOLD_DB,
     ) -> None:
@@ -199,15 +167,8 @@ class WirelessChannel:
         #: transmissions currently sensed-only at each radio
         self._sensing: Dict[int, List[ActiveTransmission]] = {}
         self._rng = sim.rng.stream("channel")
-        self._static = (
-            self.DEFAULT_STATIC_LINKS if static_links is None else bool(static_links)
-        )
         self._link_table: Optional[Dict[int, Tuple[_LinkRow, ...]]] = None
-        self._sense_table: Optional[Dict[int, Tuple[_SenseRow, ...]]] = None
-        #: Shared (receiver_id, power_dbm, PER) skeleton installed by
-        #: preset_link_table; read-only — mutations drop the reference,
-        #: never edit it.
-        self._skeleton: Optional[Mapping[int, Sequence[Tuple[int, float, float]]]] = None
+        self._sense_table: Dict[int, Tuple[_SenseRow, ...]] = {}
         self._noise_mw = 10.0 ** (self.phy.noise_floor_dbm / 10.0)
         self._capture_ratio = 10.0 ** (sinr_threshold_db / 10.0)
         # statistics
@@ -252,11 +213,9 @@ class WirelessChannel:
 
         Frames of the removed link that are still on the air stop arriving
         at the disconnected receiver immediately — otherwise the stale
-        book-keeping entry would keep the receiver's CCA busy forever.
+        book-keeping entry would keep the receiver's CCA busy forever — and
+        the receiver gets neither the frame nor a corruption notice.
         """
-        # Demote (clearing in-flight row snapshots) BEFORE purging the
-        # arriving lists: a purged transmission would otherwise keep its
-        # stale rows and still deliver over the removed link.
         self.invalidate_link_table()
         self._neighbours.get(a, set()).discard(b)
         self._drop_in_flight(a, b)
@@ -342,101 +301,34 @@ class WirelessChannel:
         return receiver in self._cs_neighbours.get(sender, self._EMPTY_NEIGHBOURS)
 
     # ----------------------------------------------------------- link table
-    @property
-    def static_links(self) -> bool:
-        """True while deliveries run over the precomputed link table."""
-        return self._static
-
-    def preset_link_table(
-        self, skeleton: Mapping[int, Sequence[Tuple[int, float, float]]]
-    ) -> None:
-        """Install a shared ``sender -> ((receiver, power_dbm, PER), ...)`` skeleton.
-
-        Called by :class:`~repro.net.network.Network` after wiring when the
-        scenario builder supplied cached construction artifacts; the first
-        transmission then maps the skeleton onto this run's radios and
-        arriving lists instead of re-deriving receiver order from the
-        neighbour sets.  The skeleton must describe exactly the current
-        wiring — any later mutation discards it (see
-        :meth:`invalidate_link_table`).  Dynamic channels ignore presets.
-        """
-        if not self._static:
-            return
-        if self._link_table is not None:
-            raise RuntimeError("cannot preset the link table after its first use")
-        self._skeleton = skeleton
-
     def invalidate_link_table(self) -> None:
         """Drop the precomputed delivery rows after a topology change.
 
-        Called automatically by every mutating method.  Before the table's
-        first use this is free (construction-time wiring) — though a preset
-        skeleton no longer matching the wiring is dropped, falling back to
-        deriving the table from the live neighbour sets; *after* first
-        use the channel permanently falls back to the dynamic path, which
-        re-reads the neighbour sets per delivery — the correct semantics
-        for mobile/mutating topologies.  Transmissions in flight at
-        demotion time lose their row snapshot and finish on the dynamic
-        path too, so a mid-flight mutation behaves exactly like a channel
-        that ran dynamic from the start.  A shared skeleton is never
-        edited, only dereferenced — other runs consuming the same bundle
-        are unaffected (copy-on-demote).
+        Called automatically by every mutating method; the next
+        transmission rebuilds the table in full from the live wiring.
+        Frames already on the air keep the rows they started with.
         """
-        self._skeleton = None
-        if self._link_table is not None:
-            self._link_table = None
-            self._sense_table = None
-            self._static = False
-            for arriving in self._arriving.values():
-                for tx in arriving:
-                    tx.rows = None
-                    tx.sense_rows = None
-            for sensing in self._sensing.values():
-                for tx in sensing:
-                    tx.rows = None
-                    tx.sense_rows = None
+        self._link_table = None
 
     def _build_link_table(self) -> Dict[int, Tuple[_LinkRow, ...]]:
-        """Precompute per-sender delivery rows (neighbour-set order kept).
-
-        Signal powers come from the channel's own ``_power_mw`` wiring (the
-        skeleton's power column was already applied through
-        :meth:`set_link_power` at construction), so the skeleton-mapped and
-        live-derived tables agree by construction.
-        """
+        """Precompute per-sender delivery rows in neighbour-set order."""
         radios = self._radios
         arriving = self._arriving
         power = self._power_mw
-        skeleton = self._skeleton
-        if skeleton is not None:
-            table = {
-                sender_id: tuple(
-                    (
-                        receiver_id,
-                        radios[receiver_id],
-                        arriving[receiver_id],
-                        per,
-                        power.get((sender_id, receiver_id), 0.0),
-                    )
-                    for receiver_id, _power_dbm, per in skeleton.get(sender_id, ())
+        link_error = self._link_error
+        table = {
+            sender_id: tuple(
+                (
+                    receiver_id,
+                    radios[receiver_id],
+                    arriving[receiver_id],
+                    link_error.get((sender_id, receiver_id), 0.0),
+                    power.get((sender_id, receiver_id), 0.0),
                 )
-                for sender_id in radios
-            }
-        else:
-            link_error = self._link_error
-            table = {
-                sender_id: tuple(
-                    (
-                        receiver_id,
-                        radios[receiver_id],
-                        arriving[receiver_id],
-                        link_error.get((sender_id, receiver_id), 0.0),
-                        power.get((sender_id, receiver_id), 0.0),
-                    )
-                    for receiver_id in self._neighbours.get(sender_id, ())
-                )
-                for sender_id in radios
-            }
+                for receiver_id in self._neighbours.get(sender_id, ())
+            )
+            for sender_id in radios
+        }
         self._link_table = table
         if self._sinr:
             sensing = self._sensing
@@ -454,15 +346,6 @@ class WirelessChannel:
     def neighbours(self, node_id: int) -> Set[int]:
         """Node ids that can hear transmissions of ``node_id`` (a fresh copy)."""
         return set(self._neighbours.get(node_id, self._EMPTY_NEIGHBOURS))
-
-    def neighbours_view(self, node_id: int) -> AbstractSet[int]:
-        """Read-only view of the neighbour set (no copy; do not mutate).
-
-        The dynamic delivery path iterates neighbour sets once per
-        transmission through this accessor, avoiding the per-call copy of
-        :meth:`neighbours` while keeping the public method's copy semantics.
-        """
-        return self._neighbours.get(node_id, self._EMPTY_NEIGHBOURS)
 
     def hears(self, receiver: int, sender: int) -> bool:
         """True if ``receiver`` is within range of ``sender``."""
@@ -495,34 +378,21 @@ class WirelessChannel:
             self.sim.schedule_fast(duration, self._end_transmission, tx)
             return
         corrupted_for = tx.corrupted_for
-        if self._static:
-            table = self._link_table
-            if table is None:
-                table = self._build_link_table()
-            rows = table[sender.node_id]
-            tx.rows = rows
-            for receiver_id, radio, arriving, _per, _signal in rows:
-                if arriving:
-                    # Overlap with everything currently arriving at this receiver.
-                    corrupted_for.add(receiver_id)
-                    for other in arriving:
-                        other.corrupted_for.add(receiver_id)
-                if radio.transmitting:
-                    # Half-duplex: a transmitting radio cannot receive.
-                    corrupted_for.add(receiver_id)
-                arriving.append(tx)
-        else:
-            radios = self._radios
-            arriving_map = self._arriving
-            for receiver_id in self.neighbours_view(sender.node_id):
-                arriving = arriving_map[receiver_id]
-                if arriving:
-                    corrupted_for.add(receiver_id)
-                    for other in arriving:
-                        other.corrupted_for.add(receiver_id)
-                if radios[receiver_id].transmitting:
-                    corrupted_for.add(receiver_id)
-                arriving.append(tx)
+        table = self._link_table
+        if table is None:
+            table = self._build_link_table()
+        rows = table[sender.node_id]
+        tx.rows = rows
+        for receiver_id, radio, arriving, _per, _signal in rows:
+            if arriving:
+                # Overlap with everything currently arriving at this receiver.
+                corrupted_for.add(receiver_id)
+                for other in arriving:
+                    other.corrupted_for.add(receiver_id)
+            if radio.transmitting:
+                # Half-duplex: a transmitting radio cannot receive.
+                corrupted_for.add(receiver_id)
+            arriving.append(tx)
         self.sim.schedule_fast(duration, self._end_transmission, tx)
 
     def _begin_sinr(self, sender: "Radio", tx: ActiveTransmission) -> None:
@@ -536,47 +406,31 @@ class WirelessChannel:
         """
         sender_id = sender.node_id
         corrupted_for = tx.corrupted_for
-        if self._static:
-            table = self._link_table
-            if table is None:
-                table = self._build_link_table()
-            rows = table[sender_id]
-            sense_rows = self._sense_table[sender_id]
-            tx.rows = rows
-            tx.sense_rows = sense_rows
-            for receiver_id, radio, arriving, _per, _signal in rows:
-                if radio.transmitting:
-                    # Half-duplex: a transmitting radio cannot receive.
-                    corrupted_for.add(receiver_id)
-                arriving.append(tx)
+        table = self._link_table
+        if table is None:
+            table = self._build_link_table()
+        rows = table[sender_id]
+        sense_rows = self._sense_table[sender_id]
+        tx.rows = rows
+        tx.sense_rows = sense_rows
+        for receiver_id, radio, arriving, _per, _signal in rows:
+            if radio.transmitting:
+                # Half-duplex: a transmitting radio cannot receive.
+                corrupted_for.add(receiver_id)
+            arriving.append(tx)
+            self._reevaluate(receiver_id, arriving)
+        for receiver_id, sensing in sense_rows:
+            sensing.append(tx)
+            arriving = self._arriving[receiver_id]
+            if arriving:
                 self._reevaluate(receiver_id, arriving)
-            for receiver_id, sensing in sense_rows:
-                sensing.append(tx)
-                arriving = self._arriving[receiver_id]
-                if arriving:
-                    self._reevaluate(receiver_id, arriving)
-        else:
-            radios = self._radios
-            arriving_map = self._arriving
-            for receiver_id in self.neighbours_view(sender_id):
-                if radios[receiver_id].transmitting:
-                    corrupted_for.add(receiver_id)
-                arriving = arriving_map[receiver_id]
-                arriving.append(tx)
-                self._reevaluate(receiver_id, arriving)
-            for receiver_id in self._cs_neighbours.get(sender_id, self._EMPTY_NEIGHBOURS):
-                self._sensing[receiver_id].append(tx)
-                arriving = arriving_map[receiver_id]
-                if arriving:
-                    self._reevaluate(receiver_id, arriving)
 
     def _reevaluate(self, receiver_id: int, arriving: List[ActiveTransmission]) -> None:
         """Re-apply the SINR threshold to every frame arriving at a receiver.
 
         Interference is summed fresh over the arriving and sensing lists in
-        insertion (chronological) order — identical on the static and
-        dynamic paths, so float summation order can never diverge between
-        them.  Already-corrupted frames stay corrupted (sticky flag).
+        insertion (chronological) order.  Already-corrupted frames stay
+        corrupted (sticky flag).
         """
         power = self._power_mw
         noise = self._noise_mw
@@ -611,75 +465,35 @@ class WirelessChannel:
             tx.corrupted_for.add(node_id)
 
     def _end_transmission(self, tx: ActiveTransmission) -> None:
-        rows = tx.rows
-        if rows is not None:
-            corrupted_for = tx.corrupted_for
-            rng_random = self._rng.random
-            for receiver_id, receiver, arriving, per, _signal in rows:
-                try:
-                    arriving.remove(tx)
-                except ValueError:
-                    # Defensive: rows survive only while the table is
-                    # valid (demotion clears them), so the entry should
-                    # always still be present.
-                    pass
-                if receiver_id in corrupted_for:
-                    self.frames_corrupted += 1
-                    receiver.notify_corrupted_frame(tx.frame)
-                    continue
-                if receiver.transmitting:
-                    # Receiver started transmitting exactly at the boundary.
-                    self.frames_corrupted += 1
-                    receiver.notify_corrupted_frame(tx.frame)
-                    continue
-                if per > 0.0 and rng_random() < per:
-                    self.frames_lost_link_error += 1
-                    continue
-                self.frames_delivered += 1
-                receiver.deliver(tx.frame)
-            if tx.sense_rows is not None:
-                # Sensed-only receivers just stop seeing the energy — no
-                # delivery, no corruption notification (they never
-                # synchronised on the frame).
-                for _receiver_id, sensing in tx.sense_rows:
-                    try:
-                        sensing.remove(tx)
-                    except ValueError:
-                        pass
-        else:
-            radios = self._radios
-            arriving_map = self._arriving
-            for receiver_id in self.neighbours_view(tx.sender_id):
-                arriving = arriving_map[receiver_id]
-                try:
-                    arriving.remove(tx)
-                except ValueError:
-                    # The link was (dis)connected while the frame was on the air.
-                    pass
-                receiver = radios[receiver_id]
-                if receiver_id in tx.corrupted_for:
-                    self.frames_corrupted += 1
-                    receiver.notify_corrupted_frame(tx.frame)
-                    continue
-                if receiver.transmitting:
-                    self.frames_corrupted += 1
-                    receiver.notify_corrupted_frame(tx.frame)
-                    continue
-                per = self._link_error.get((tx.sender_id, receiver_id), 0.0)
-                if per > 0.0 and self._rng.random() < per:
-                    self.frames_lost_link_error += 1
-                    continue
-                self.frames_delivered += 1
-                receiver.deliver(tx.frame)
-            if self._sinr:
-                for receiver_id in self._cs_neighbours.get(
-                    tx.sender_id, self._EMPTY_NEIGHBOURS
-                ):
-                    sensing = self._sensing[receiver_id]
-                    try:
-                        sensing.remove(tx)
-                    except ValueError:
-                        # The sensed link was removed while the frame was
-                        # on the air (disconnect_sensed purges eagerly).
-                        pass
+        corrupted_for = tx.corrupted_for
+        rng_random = self._rng.random
+        for receiver_id, receiver, arriving, per, _signal in tx.rows:
+            try:
+                arriving.remove(tx)
+            except ValueError:
+                # The link was removed while the frame was on the air
+                # (disconnect purged it): no delivery, no corruption notice.
+                continue
+            if receiver_id in corrupted_for:
+                self.frames_corrupted += 1
+                receiver.notify_corrupted_frame(tx.frame)
+                continue
+            if receiver.transmitting:
+                # Receiver started transmitting exactly at the boundary.
+                self.frames_corrupted += 1
+                receiver.notify_corrupted_frame(tx.frame)
+                continue
+            if per > 0.0 and rng_random() < per:
+                self.frames_lost_link_error += 1
+                continue
+            self.frames_delivered += 1
+            receiver.deliver(tx.frame)
+        # Sensed-only receivers just stop seeing the energy — no delivery, no
+        # corruption notification (they never synchronised on the frame).
+        for _receiver_id, sensing in tx.sense_rows:
+            try:
+                sensing.remove(tx)
+            except ValueError:
+                # disconnect_sensed purged it while the frame was on the air.
+                pass
         self._radios[tx.sender_id].transmission_finished(tx.frame)

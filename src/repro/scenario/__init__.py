@@ -17,7 +17,7 @@ from repro.scenario.artifacts import (
     artifact_cache_stats,
     carrier_sense_skeleton,
     configure_artifact_cache,
-    link_table_skeleton,
+    link_power_skeleton,
 )
 from repro.scenario.builder import (
     BuiltDsmeScenario,
@@ -45,7 +45,7 @@ __all__ = [
     "build_scenario",
     "carrier_sense_skeleton",
     "configure_artifact_cache",
-    "link_table_skeleton",
+    "link_power_skeleton",
     "topology_accepts_node_count",
     "topology_accepts_seed",
     "topology_kinds",

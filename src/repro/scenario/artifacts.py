@@ -3,8 +3,8 @@
 Building a scenario splits into two very different kinds of work:
 
 * **artifacts** — the topology (positions, O(n²) propagation-derived links,
-  routing tree) and the channel's link-table skeleton (per-sender ordered
-  ``(receiver, packet-error-rate)`` rows).  These depend only on the
+  routing tree) and, for SINR runs, the per-link received powers and
+  carrier-sense-only pairs the channel is wired with.  These depend only on the
   construction-relevant half of a :class:`~repro.scenario.config.ScenarioConfig`
   (its :meth:`~repro.scenario.config.ScenarioConfig.cache_key`), not on the
   master seed, the MAC kind or tracing — so every run of a sweep that
@@ -25,10 +25,9 @@ disables it.
 Staleness: artifacts snapshot ``topology.version`` at build time.  Builder-
 produced cached artifacts freeze their topology, so mutation raises; for
 explicitly constructed (unfrozen) artifact bundles, a topology mutated
-between runs is detected via the version counter and the stale link-table
-skeleton is discarded — the next run re-derives delivery rows from the live
-topology state instead of serving stale rows (see
-:meth:`ScenarioArtifacts.current_link_table`).
+between runs is detected via the version counter and its stale SINR rows
+are never served (see :meth:`ScenarioArtifacts.current_link_powers`).  The
+channel always derives its delivery rows from its own wiring.
 """
 
 from __future__ import annotations
@@ -43,10 +42,9 @@ from repro.topology.base import Topology
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from repro.phy.propagation import PropagationModel
 
-#: Per-sender ordered delivery rows:
-#: sender id -> ((receiver id, rx power dBm, PER), ...).  The power column
-#: feeds the SINR interference model; collision-model runs carry 0.0.
-LinkTableSkeleton = Dict[int, Tuple[Tuple[int, float, float], ...]]
+#: Per-sender communication-link powers for the SINR model:
+#: sender id -> ((receiver id, rx power dBm), ...).
+LinkPowerSkeleton = Dict[int, Tuple[Tuple[int, float], ...]]
 
 #: Per-sender ordered carrier-sense-only rows:
 #: sender id -> ((receiver id, rx power dBm), ...).  Receivers that sense a
@@ -58,49 +56,21 @@ CarrierSenseSkeleton = Dict[int, Tuple[Tuple[int, float], ...]]
 DEFAULT_CACHE_SIZE = 8
 
 
-def link_table_skeleton(
-    topology: Topology,
-    link_error_rate: float,
-    model: Optional["PropagationModel"] = None,
-) -> LinkTableSkeleton:
-    """Precompute the channel's per-sender ``(receiver, power, PER)`` rows.
+def link_power_skeleton(
+    topology: Topology, model: "PropagationModel"
+) -> LinkPowerSkeleton:
+    """Per-sender received powers of every communication link (SINR model).
 
-    The receiver order of each row reproduces exactly the neighbour-set
-    iteration order a :class:`~repro.phy.channel.WirelessChannel` arrives at
-    when :class:`~repro.net.network.Network` wires the same topology: sets
-    are created in node-id order and filled in ``topology.links`` iteration
-    order, the same insertion sequence the channel's ``connect`` calls
-    perform — so deliveries (and therefore per-link error draws, which
-    consume the channel RNG in delivery order) are bit-identical whether
-    the skeleton or the channel's own lazy build produced the table.
-
-    ``model`` (the settled propagation model the topology was derived from)
-    supplies each directed link's received power; without one the power
-    column is 0.0 — correct for the collision model, which never reads it.
+    ``model`` is the settled propagation model the topology was derived
+    from; each directed link gets its ``received_power_dbm``.
     """
-    neighbours: Dict[int, set] = {node_id: set() for node_id in topology.node_ids}
+    positions = topology.positions
+    rows: Dict[int, list] = {node_id: [] for node_id in topology.node_ids}
     for link in topology.links:
         a, b = tuple(link)
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    per = float(link_error_rate)
-    if model is None:
-        return {
-            sender: tuple((receiver, 0.0, per) for receiver in neighbours[sender])
-            for sender in topology.node_ids
-        }
-    positions = topology.positions
-    return {
-        sender: tuple(
-            (
-                receiver,
-                model.received_power_dbm(positions[sender], positions[receiver]),
-                per,
-            )
-            for receiver in neighbours[sender]
-        )
-        for sender in topology.node_ids
-    }
+        rows[a].append((b, model.received_power_dbm(positions[a], positions[b])))
+        rows[b].append((a, model.received_power_dbm(positions[b], positions[a])))
+    return {sender: tuple(entries) for sender, entries in rows.items()}
 
 
 def carrier_sense_skeleton(
@@ -110,9 +80,7 @@ def carrier_sense_skeleton(
 
     A receiver is sensed-only for a sender when it lies inside the model's
     carrier-sense range but shares no communication link with it in the
-    topology.  Pairs are enumerated in node-id order — the same ordered
-    iteration :meth:`Network` uses when wiring sensed links live, so the
-    channel's ``_cs_neighbours`` insertion order is identical either way.
+    topology.
     """
     linked: Dict[int, set] = {node_id: set() for node_id in topology.node_ids}
     for link in topology.links:
@@ -147,32 +115,31 @@ class ScenarioArtifacts:
     key: Optional[Hashable]
     topology: Topology
     topology_version: int
-    link_table: LinkTableSkeleton
     #: Registered topology name of the producing config; lets the builder
     #: reject cross-config bundle reuse even when ``key`` is None
     #: (uncacheable configs).  None for hand-assembled bundles, which opt
     #: out of validation entirely.
     topology_kind: Optional[str] = None
-    #: Carrier-sense-only rows for SINR runs; None for collision-model
-    #: bundles (whose cache keys can never collide with SINR ones — the
-    #: interference model is part of the key).
+    #: Link powers and carrier-sense-only rows for SINR runs; None for
+    #: collision-model bundles (whose cache keys can never collide with SINR
+    #: ones — the interference model is part of the key).
+    link_powers: Optional[LinkPowerSkeleton] = None
     cs_table: Optional[CarrierSenseSkeleton] = None
 
     def is_current(self) -> bool:
         """True while the topology still matches the snapshotted artifacts."""
         return self.topology.version == self.topology_version
 
-    def current_link_table(self) -> Optional[LinkTableSkeleton]:
-        """The skeleton, or None when the topology was mutated after build.
+    def current_link_powers(self) -> Optional[LinkPowerSkeleton]:
+        """The link powers, or None when the topology was mutated after build.
 
-        The None fallback is the cross-run analogue of the channel's
-        mutation auto-demote: a stale skeleton is never served, the channel
-        falls back to deriving delivery rows from the live topology wiring.
+        A stale bundle is never served: without rows the network derives
+        them from a propagation model, or refuses to build without one.
         """
-        return self.link_table if self.is_current() else None
+        return self.link_powers if self.is_current() else None
 
     def current_cs_table(self) -> Optional[CarrierSenseSkeleton]:
-        """The carrier-sense skeleton, guarded by the same staleness check."""
+        """The carrier-sense rows, guarded by the same staleness check."""
         return self.cs_table if self.is_current() else None
 
 

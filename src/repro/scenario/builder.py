@@ -23,7 +23,7 @@ from repro.scenario.artifacts import (
     ARTIFACT_CACHE,
     ScenarioArtifacts,
     carrier_sense_skeleton,
-    link_table_skeleton,
+    link_power_skeleton,
 )
 from repro.scenario.config import ScenarioConfig
 from repro.sim.engine import Simulator
@@ -305,29 +305,23 @@ class ScenarioBuilder:
 
         The expensive half of assembly: topology factory, O(n²)
         propagation-derived links (with connectivity redraws), routing tree
-        and the channel's link-table skeleton.  With ``freeze`` (the
-        default for cached bundles) the topology is sealed so sharing it
-        across runs is safe; pass ``freeze=False`` to keep it mutable —
-        the version counter then guards consumers against stale skeletons.
+        and, for SINR runs, the link powers and carrier-sense-only rows.
+        With ``freeze`` (the default for cached bundles) the topology is
+        sealed so sharing it across runs is safe; pass ``freeze=False`` to
+        keep it mutable — the version counter then guards consumers against
+        stale rows.
         """
         topology, model = self.make_topology_and_model()
         sinr = self.config.interference == "sinr"
-        # The power column (and the carrier-sense rows) are only derived for
-        # SINR runs — collision-model bundles stay exactly as cheap (and as
-        # bit-identical) as before the column existed.
-        skeleton = link_table_skeleton(
-            topology, self.config.link_error_rate, model=model if sinr else None
-        )
-        cs_table = carrier_sense_skeleton(topology, model) if sinr else None
         if freeze:
             topology.freeze()
         return ScenarioArtifacts(
             key=self.config.cache_key(),
             topology=topology,
             topology_version=topology.version,
-            link_table=skeleton,
             topology_kind=self.config.topology,
-            cs_table=cs_table,
+            link_powers=link_power_skeleton(topology, model) if sinr else None,
+            cs_table=carrier_sense_skeleton(topology, model) if sinr else None,
         )
 
     def resolve_artifacts(
@@ -388,10 +382,9 @@ class ScenarioBuilder:
             topology,
             self.make_mac_factory(),
             link_error_rate=self.config.link_error_rate,
-            static_links=self.config.static_links,
             interference=self.config.interference,
             sinr_threshold_db=self.config.sinr_threshold_db,
-            prebuilt_links=artifacts.current_link_table(),
+            prebuilt_powers=artifacts.current_link_powers(),
             prebuilt_cs=artifacts.current_cs_table(),
         )
         return BuiltScenario(config=self.config, sim=sim, topology=topology, network=network)
@@ -422,10 +415,9 @@ class ScenarioBuilder:
             cap_mac_config=self.config.mac_config,
             route_discovery_period=route_discovery_period,
             link_error_rate=self.config.link_error_rate,
-            static_links=self.config.static_links,
             interference=self.config.interference,
             sinr_threshold_db=self.config.sinr_threshold_db,
-            prebuilt_links=artifacts.current_link_table(),
+            prebuilt_powers=artifacts.current_link_powers(),
             prebuilt_cs=artifacts.current_cs_table(),
         )
         return BuiltDsmeScenario(config=self.config, sim=sim, topology=topology, dsme=dsme)

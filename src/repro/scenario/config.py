@@ -62,12 +62,9 @@ class ScenarioConfig:
         received powers come from its ``received_power_dbm``.
     sinr_threshold_db:
         Capture threshold of the SINR model; ignored under ``collision``.
-    static_links:
-        Channel delivery mode: None (default) uses
-        :attr:`repro.phy.channel.WirelessChannel.DEFAULT_STATIC_LINKS`
-        (the precomputed link table); False forces the dynamic per-delivery
-        path for topologies that mutate mid-run.  Results are bit-identical
-        either way for static topologies.
+        Under either model the channel delivers over one link table derived
+        from its own wiring and rebuilt in full after any topology mutation
+        (see :mod:`repro.phy.channel`).
     seed:
         Master seed of the simulation's RNG registry.
     trace / trace_limit:
@@ -87,7 +84,6 @@ class ScenarioConfig:
     link_error_rate: float = 0.0
     interference: str = "collision"
     sinr_threshold_db: float = 10.0
-    static_links: Optional[bool] = None
     seed: int = 0
     trace: bool = False
     trace_limit: Optional[int] = None
@@ -127,10 +123,10 @@ class ScenarioConfig:
         """Deterministic key of the construction-relevant half of the config.
 
         Two configs with equal keys build identical construction artifacts
-        (topology, link set, PER rows) — so artifacts can be cached under
-        the key and shared across runs.  The key covers topology,
+        (topology, link set, SINR power rows) — so artifacts can be cached
+        under the key and shared across runs.  The key covers topology,
         topology params, propagation model/params, link error rate and the
-        channel mode; it deliberately *excludes* the master ``seed``, the
+        interference model; it deliberately *excludes* the master ``seed``, the
         MAC axis and tracing, which only shape per-run state.
 
         The seed re-enters the key exactly where it feeds construction:
@@ -155,9 +151,9 @@ class ScenarioConfig:
             )
         except (TypeError, RegistryError):
             return None
-        # Version bumped to /2 when the skeleton rows grew the received-power
-        # column — a /1-era bundle must never be served to this code.
-        parts: list = ["scenario-artifacts/2", self.topology, topology_params]
+        # Layout version of the artifact bundle: bump it whenever the
+        # bundle's contents change shape.
+        parts: list = ["scenario-artifacts/3", self.topology, topology_params]
         if topology_seeded:
             parts.append(("topology-seed", self.seed))
         parts.append(self.propagation)
@@ -176,5 +172,4 @@ class ScenarioConfig:
         parts.append(("interference", self.interference))
         if self.interference == "sinr":
             parts.append(("sinr-threshold", self.sinr_threshold_db))
-        parts.append(self.static_links)
         return tuple(parts)

@@ -265,11 +265,14 @@ class CampaignService:
                     meta={"service": {"job": job.job_id}},
                     on_record=lambda index, record, job=job: self._observe(job, record),
                 )
+                # Records resumed from the journal never passed through
+                # observe(); replay them before the job turns terminal so a
+                # client never sees a finished job with partial aggregates.
+                replayed = self._replay_stats(job) if outcome.resumed else None
                 with self._lock:
+                    if replayed is not None:
+                        job.stats = replayed
                     job.resumed = outcome.resumed
-                    # Records resumed from the journal never passed through
-                    # observe(); fold them into the live aggregates now so
-                    # final stats always cover the whole campaign.
                     job.completed = outcome.resumed + outcome.executed
                     job.quarantined = len(outcome.quarantined)
                     job.state = {
@@ -278,8 +281,6 @@ class CampaignService:
                         "cancelled": CANCELLED,
                     }[outcome.status]
                     job.finished_at = time.time()
-                if outcome.resumed:
-                    self._backfill(job)
             except BaseException as exc:  # noqa: BLE001 - job isolation
                 with self._lock:
                     job.state = FAILED
@@ -307,8 +308,8 @@ class CampaignService:
         with self._lock:
             job.observe(record)
 
-    def _backfill(self, job: CampaignJob) -> None:
-        """Rebuild final stats from the journal when runs were resumed.
+    def _replay_stats(self, job: CampaignJob) -> Dict[str, StreamingStats]:
+        """Final stats rebuilt from the journal when runs were resumed.
 
         Live stats only saw newly executed records; replaying the full
         journal in expansion order makes the end-state aggregates both
@@ -325,8 +326,7 @@ class CampaignService:
                     if stats is None:
                         stats = fresh[name] = StreamingStats()
                     stats.push(float(value))
-            with self._lock:
-                job.stats = fresh
+            return fresh
         finally:
             journal.close()
 

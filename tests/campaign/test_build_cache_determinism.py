@@ -62,34 +62,8 @@ class TestCachedEqualsUncached:
         baseline = _assert_all_equal(_run_variants(sweep))
         assert len(baseline) == sweep.size == len(MAC_KINDS) * 3 * 2
 
-    def test_dynamic_channel_path_matrix(self):
-        """The dynamic delivery fallback stays bit-identical with the cache.
-
-        Flipping ``DEFAULT_STATIC_LINKS`` (the PR 4 escape hatch) makes
-        every channel run the per-delivery path; worker pools are created
-        inside the flipped window, so forked workers inherit the setting.
-        """
-        from repro.phy.channel import WirelessChannel
-
-        sweep = Sweep(
-            experiment="hidden-node",
-            macs=("qma", "unslotted-csma"),
-            propagations=(None, "fading"),
-            grid={"delta": [25.0]},
-            fixed={"packets_per_node": 3, "warmup": 0.5},
-            seeds=(0, 1),
-        )
-        static = _run_variants(sweep)
-        original = WirelessChannel.DEFAULT_STATIC_LINKS
-        WirelessChannel.DEFAULT_STATIC_LINKS = False
-        try:
-            dynamic = _run_variants(sweep)
-        finally:
-            WirelessChannel.DEFAULT_STATIC_LINKS = original
-        _assert_all_equal({**static, **{(k, "dyn"): v for k, v in dynamic.items()}})
-
     def test_testbed_star_with_link_errors(self):
-        """PER rows flow through the cached skeleton (testbed default 2%)."""
+        """PER rows (testbed default 2%) with and without the cache."""
         sweep = Sweep(
             experiment="testbed-star",
             macs=("unslotted-csma",),

@@ -142,16 +142,27 @@ class TestWarmPoolDeterminism:
         assert serial == streamed
 
 
-class TestLinkTableDeterminism:
-    """The channel's static link table is a pure acceleration: every MAC
-    kind and propagation model must produce identical scalars on the
-    link-table and dynamic-fallback paths."""
+class TestLinkTableRebuildDeterminism:
+    """A link table rebuilt from the live wiring equals the one it replaces:
+    dropping the table before every transmission (so each one rebuilds it
+    in full) must leave every MAC kind and propagation model's scalars
+    unchanged."""
+
+    @staticmethod
+    def _rebuild_before_every_transmission(monkeypatch):
+        from repro.phy.channel import WirelessChannel
+
+        begin = WirelessChannel.begin_transmission
+
+        def rebuilding_begin(self, sender, frame, duration):
+            self.invalidate_link_table()
+            begin(self, sender, frame, duration)
+
+        monkeypatch.setattr(WirelessChannel, "begin_transmission", rebuilding_begin)
 
     @pytest.mark.parametrize("mac", MAC_KINDS)
     @pytest.mark.parametrize("propagation", [None, "unit-disk", "log-distance", "fading"])
-    def test_link_table_matches_dynamic_fallback(self, mac, propagation, monkeypatch):
-        from repro.phy.channel import WirelessChannel
-
+    def test_rebuilt_table_matches_first_table(self, mac, propagation, monkeypatch):
         scenario = Scenario(
             experiment="hidden-node",
             mac=mac,
@@ -159,10 +170,23 @@ class TestLinkTableDeterminism:
             params={"delta": 10.0, "packets_per_node": 8, "warmup": 5.0},
             propagation=propagation,
         )
-        static = execute_scenario(scenario)
-        monkeypatch.setattr(WirelessChannel, "DEFAULT_STATIC_LINKS", False)
-        dynamic = execute_scenario(scenario)
-        assert static.metrics == dynamic.metrics
+        built_once = execute_scenario(scenario)
+        self._rebuild_before_every_transmission(monkeypatch)
+        rebuilt = execute_scenario(scenario)
+        assert built_once.metrics == rebuilt.metrics
+
+    @pytest.mark.parametrize("mac", ["qma", "unslotted-csma"])
+    def test_rebuilt_sinr_tables_match_first_tables(self, mac, monkeypatch):
+        scenario = Scenario(
+            experiment="sinr-hidden-node",
+            mac=mac,
+            seed=1,
+            params={"packets_per_node": 3, "warmup": 0.5, "delta": 25.0},
+        )
+        built_once = execute_scenario(scenario)
+        self._rebuild_before_every_transmission(monkeypatch)
+        rebuilt = execute_scenario(scenario)
+        assert built_once.metrics == rebuilt.metrics
 
 
 class TestSeedRepeatability:

@@ -1,4 +1,4 @@
-"""Tests for the typed SimReport (accessors, legacy shims, pickling)."""
+"""Tests for the typed SimReport (accessors, attribute fallback, pickling)."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ def report() -> SimReport:
         series={"delay": [(1.0, 0.04), (2.0, 0.06)]},
         tables={"q_history": {0: [(1.0, 2.0)], 2: [(1.5, 3.0)]}},
         details={"aux": object()},
-        legacy={"q_histories": ("tables", "q_history")},
     )
 
 
@@ -51,28 +50,22 @@ class TestAccessors:
             report._private
 
 
-class TestLegacyShims:
-    def test_legacy_attribute_resolves_with_deprecation_warning(self, report):
-        with pytest.warns(DeprecationWarning, match="q_histories"):
-            assert report.q_histories == {0: [(1.0, 2.0)], 2: [(1.5, 3.0)]}
+class TestRetiredAttributes:
+    def test_retired_result_attributes_are_gone(self, report):
+        """Only scalars and params are attribute-readable; the retired
+        result-dataclass names live in their report sections instead."""
+        with pytest.raises(AttributeError, match="q_histories"):
+            report.q_histories
+        assert report.tables["q_history"] == {0: [(1.0, 2.0)], 2: [(1.5, 3.0)]}
 
-    def test_legacy_attribute_missing_from_section_raises(self):
-        empty = SimReport(legacy={"q_histories": ("tables", "q_history")})
-        with pytest.raises(AttributeError):
-            empty.q_histories
-
-    def test_legacy_map_excluded_from_equality(self):
-        left = SimReport(scalars={"pdr": 1.0}, legacy={"a": ("scalars", "pdr")})
-        right = SimReport(scalars={"pdr": 1.0}, legacy={})
-        assert left == right
-
-    def test_runner_reports_expose_legacy_attributes(self):
+    def test_runner_reports_expose_sections(self):
         from repro.experiments import run_hidden_node
 
         result = run_hidden_node(mac="qma", delta=10, packets_per_node=8, warmup=5, seed=1)
-        with pytest.warns(DeprecationWarning):
-            assert set(result.policies) == {0, 2}
+        assert set(result.tables["policy"]) == {0, 2}
         assert result.pdr == result.scalars["pdr"]
+        with pytest.raises(AttributeError):
+            result.policies
 
 
 class TestSerialisation:

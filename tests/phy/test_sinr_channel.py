@@ -31,10 +31,8 @@ def sim() -> Simulator:
     return Simulator(seed=7)
 
 
-def sinr_channel(sim, threshold_db=DEFAULT_SINR_THRESHOLD_DB, static=None):
-    return WirelessChannel(
-        sim, static_links=static, interference="sinr", sinr_threshold_db=threshold_db
-    )
+def sinr_channel(sim, threshold_db=DEFAULT_SINR_THRESHOLD_DB):
+    return WirelessChannel(sim, interference="sinr", sinr_threshold_db=threshold_db)
 
 
 def test_unknown_interference_model_rejected(sim):
@@ -215,21 +213,28 @@ class TestSensedOnlyLinks:
             channel.connect_sensed(0, 1, -80.0)
 
 
-class TestStaticDynamicParity:
-    def _run(self, static):
+class TestRebuildAfterMutation:
+    def _run(self, sense_after_first_use):
         sim = Simulator(seed=3)
-        channel = sinr_channel(sim, static=static)
+        channel = sinr_channel(sim)
         radios = [Radio(sim, channel, i) for i in range(4)]
         for src in (0, 1, 2):
             channel.connect(src, 3, bidirectional=False)
         channel.set_link_power(0, 3, -60.0)
         channel.set_link_power(1, 3, -72.0)
         channel.set_link_power(2, 3, -72.0)
-        channel.connect_sensed(1, 0, -85.0)
+        if not sense_after_first_use:
+            channel.connect_sensed(1, 0, -85.0)
+        radios[2].transmit(make_frame(2, 3))  # builds the table
+        sim.run_until(0.5)
+        if sense_after_first_use:
+            channel.connect_sensed(1, 0, -85.0)
         rx = Collector(radios[3])
-        radios[0].transmit(make_frame(0, 3))
-        sim.schedule_at(0.0003, lambda: radios[1].transmit(make_frame(1, 3)))
-        sim.schedule_at(0.0004, lambda: radios[2].transmit(make_frame(2, 3)))
+        sim.schedule_at(0.5, lambda: radios[1].transmit(make_frame(1, 3)))
+        sim.schedule_at(0.5002, radios[0].cca)  # sensed-only energy of 1
+        sim.schedule_at(0.6, lambda: radios[0].transmit(make_frame(0, 3)))
+        sim.schedule_at(0.6003, lambda: radios[1].transmit(make_frame(1, 3)))
+        sim.schedule_at(0.6004, lambda: radios[2].transmit(make_frame(2, 3)))
         sim.run_until(1.0)
         return (
             [f.src for f in rx.frames],
@@ -239,8 +244,29 @@ class TestStaticDynamicParity:
             radios[0].cca_sensed_only_count,
         )
 
-    def test_static_table_matches_dynamic_path(self):
-        assert self._run(static=True) == self._run(static=False)
+    def test_mutation_matches_channel_wired_that_way_from_start(self):
+        mutated = self._run(sense_after_first_use=True)
+        assert mutated == self._run(sense_after_first_use=False)
+        assert mutated[4] == 1  # the sensed link added after first use counts
+
+    def test_disconnect_sensed_mid_flight_frees_sensing_list(self, sim):
+        channel = sinr_channel(sim)
+        tx = Radio(sim, channel, 0)
+        sensor = Radio(sim, channel, 1)
+        channel.connect_sensed(0, 1, -85.0)
+        tx.transmit(make_frame(0, 99))
+        sim.run_until(1.0)  # the table is built and in use
+        tx.transmit(make_frame(0, 99))
+        assert channel._sensing[1]
+        channel.disconnect_sensed(0, 1)
+        assert channel._sensing[1] == []
+        assert sensor.cca() is True
+        sim.run_until(2.0)
+        tx.transmit(make_frame(0, 99))  # rebuilt table: no sensed row left
+        assert sensor.cca() is True
+        sim.run_until(3.0)
+        assert sensor.frames_received == 0
+        assert sensor.frames_corrupted == 0
 
 
 def test_collision_channel_keeps_sensing_lists_empty(sim):

@@ -9,8 +9,8 @@ The cache's contract has three parts, each pinned here:
   with and without the cache, under LRU eviction, and under explicit
   artifact bundles;
 * **staleness is never served**: a topology mutated between runs of a
-  shared (unfrozen) bundle invalidates the prebuilt link-table skeleton —
-  the cross-run analogue of the channel's mutation auto-demote.
+  shared (unfrozen) bundle is detected, and the next run is wired from the
+  live topology.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.scenario import (
     ScenarioArtifacts,
     ScenarioBuilder,
     ScenarioConfig,
-    link_table_skeleton,
     topology_accepts_seed,
 )
 from repro.topology.base import FrozenTopologyError
@@ -194,6 +193,33 @@ class TestInterferenceCacheKey:
         assert ARTIFACT_CACHE.stats()["evictions"] >= 4
 
 
+def test_sinr_network_wired_from_model_matches_artifact_wiring():
+    """A SINR Network given only the propagation model derives the same
+    received powers and sensed links as one wired from cached artifacts."""
+    from repro.net.network import Network
+
+    config = ScenarioConfig(
+        topology_params={"link_distance": 80.0},  # A-C: sensed, not linked
+        mac="unslotted-csma",
+        propagation="unit-disk",
+        propagation_params=_SINR_PARAMS,
+        interference="sinr",
+    )
+    builder = ScenarioBuilder(config)
+    cached = builder.build().network.channel
+    topology, model = builder.make_topology_and_model()
+    live = Network(
+        builder.make_simulator(),
+        topology,
+        builder.make_mac_factory(),
+        interference="sinr",
+        propagation_model=model,
+    ).channel
+    assert live._power_mw == cached._power_mw
+    assert live._cs_neighbours == cached._cs_neighbours
+    assert any(live._cs_neighbours.values())
+
+
 class TestSeededTopologyBuilds:
     def test_scenario_seed_drives_placement(self):
         def positions(seed):
@@ -238,16 +264,10 @@ class TestArtifactReuse:
     @pytest.mark.parametrize("topology", sorted(["hidden-node", "iotlab-tree",
                                                  "iotlab-star", "concentric", "random"]))
     @pytest.mark.parametrize("propagation", [None, "fading"])
-    def test_prebuilt_rows_match_lazily_derived_rows(self, topology, propagation):
-        """The skeleton's receiver order IS the channel's wiring order.
-
-        This is the load-bearing contract behind bit-identical cached
-        runs: ``link_table_skeleton`` replays the exact neighbour-set
-        insertion sequence of ``Network``'s wiring loop.  Pinned here for
-        every registered topology (and a propagation-derived link set) so
-        any reorder in either place fails loudly instead of silently
-        changing delivery order.
-        """
+    def test_cached_rows_match_uncached_rows(self, topology, propagation):
+        """A shared cached topology yields the same delivery rows (receiver
+        order included) as a freshly built one, for every registered
+        topology and a propagation-derived link set."""
         params = {"random": {"num_nodes": 7}, "concentric": {"rings": 1}}.get(topology, {})
         config = ScenarioConfig(
             topology=topology,
@@ -258,8 +278,9 @@ class TestArtifactReuse:
         )
         with ARTIFACT_CACHE.override(enabled=False):
             plain = ScenarioBuilder(config).build()
+        ScenarioBuilder(config).build()  # populate the cache
         cached = ScenarioBuilder(config).build()
-        assert cached.network.channel._skeleton is not None
+        assert ARTIFACT_CACHE.stats()["hits"] == 1
         assert _rows(plain.network) == _rows(cached.network)
 
     def test_explicit_artifacts_for_other_config_rejected(self):
@@ -338,10 +359,9 @@ class TestFrozenTopology:
 
 class TestCrossRunMutation:
     """Regression: a topology mutated *between* runs of a shared artifact
-    bundle must invalidate the prebuilt link-table skeleton — the next run
-    derives delivery rows from the live wiring instead of stale rows."""
+    bundle is detected — the next run is wired from the live topology."""
 
-    def test_mutation_between_runs_invalidates_stale_skeleton(self):
+    def test_mutation_between_runs_rewires_from_live_topology(self):
         config = ScenarioConfig(topology="hidden-node", mac="unslotted-csma")
         builder = ScenarioBuilder(config)
         artifacts = builder.build_artifacts(freeze=False)
@@ -352,7 +372,6 @@ class TestCrossRunMutation:
         # Mutate the shared topology between runs: A and C are now in range.
         artifacts.topology.add_link(NODE_A, NODE_C)
         assert not artifacts.is_current()
-        assert artifacts.current_link_table() is None
 
         second = builder.build(artifacts=artifacts)
         rows = _rows(second.network)
@@ -363,7 +382,6 @@ class TestCrossRunMutation:
             key=None,
             topology=artifacts.topology,
             topology_version=artifacts.topology.version,
-            link_table=link_table_skeleton(artifacts.topology, 0.0),
         )
         reference = builder.build(artifacts=fresh)
         assert rows == _rows(reference.network)

@@ -121,6 +121,38 @@ class TestSubmission:
         # Backfilled aggregates cover the whole campaign, not just new runs.
         assert snap["metrics"]["pdr"]["n"] == sweep.size
 
+    def test_resumed_job_turns_terminal_only_after_replay(self, live_server, monkeypatch):
+        """Regression: a resumed job must not publish its terminal state
+        before the journal replay has rebuilt its aggregates — the very
+        first terminal snapshot already covers the whole campaign."""
+        import time
+
+        from repro.service.journal import CheckpointJournal
+
+        client, service = live_server
+        sweep = make_sweep([0, 1])
+        client.wait(client.submit(sweep.to_dict())["job"], timeout=120)
+
+        iter_completed = CheckpointJournal.iter_completed
+
+        def slow_iter_completed(self):
+            for item in iter_completed(self):
+                time.sleep(0.2)
+                yield item
+
+        monkeypatch.setattr(CheckpointJournal, "iter_completed", slow_iter_completed)
+        job = client.submit(sweep.to_dict())["job"]
+        deadline = time.time() + 120
+        while True:
+            snap = service.status(job)[0]
+            if snap["state"] in ("done", "partial", "cancelled", "failed"):
+                break
+            assert time.time() < deadline, f"job still {snap['state']}"
+            time.sleep(0.005)
+        assert snap["state"] == "done"
+        assert snap["resumed"] == sweep.size
+        assert snap["metrics"]["pdr"]["n"] == sweep.size
+
 
 class TestErrors:
     def test_invalid_sweep_rejected_without_job(self, live_server):
