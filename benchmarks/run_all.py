@@ -5,8 +5,8 @@ micro-benchmark events/s (deep-heap and steady-state, generic and fast
 path), campaign sweep throughput (warm worker pool vs. the PR 3 dispatch),
 the construction-cache speedup on a build-dominated batched sweep (cache
 off vs. on, plus the construction share of a short run), metric-collector
-overhead, checkpoint-journaling overhead and the 43-node scalability
-wall-clock — into one JSON document::
+overhead, checkpoint-journaling overhead, the slotted-MAC sweep time and
+the 43-node scalability wall-clock — into one JSON document::
 
     PYTHONPATH=src python benchmarks/run_all.py --json BENCH_<rev>.json
 
@@ -41,6 +41,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 
 import bench_build_cache as cache_bench
 import bench_checkpoint_overhead as checkpoint_bench
@@ -49,6 +50,9 @@ import bench_metrics_overhead as metrics_bench
 import bench_seed_batch as batch_bench
 import bench_sinr_hidden_node as sinr_bench
 import bench_sweep_orchestration as sweep_bench
+
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import Sweep
 
 #: Metric -> (kind, direction, tolerance factor).  ``ratio`` metrics are
 #: machine-comparable and gated by default; ``absolute`` metrics only
@@ -85,7 +89,11 @@ METRIC_SPECS = {
     "sinr_events_per_s": ("absolute", "higher", 1.0),
     "sinr_collision_events_per_s": ("absolute", "higher", 1.0),
     "sinr_throughput_ratio": ("ratio", "higher", 2.0),
+    "slotted_sweep_s": ("absolute", "lower", 1.0),
 }
+
+#: Seeds of the slotted-MAC sweep (``slotted_sweep_s``), quick and full.
+SLOTTED_SWEEP_SEEDS = {True: 4, False: 16}
 
 #: Collector overhead may drift this many percentage points before the
 #: gate fails (relative comparison is meaningless near zero).
@@ -101,6 +109,26 @@ def _git_rev() -> str:
         ).stdout.strip()
     except Exception:
         return "unknown"
+
+
+def measure_slotted_sweep(quick: bool) -> tuple:
+    """``(runs, seconds)``: the median of three serial runs of a fixed-seed
+    hidden-node sweep over slotted ALOHA and TDMA — the MAC layer's time,
+    without pool dispatch."""
+    sweep = Sweep(
+        experiment="hidden-node",
+        macs=["slotted-aloha", "tdma"],
+        grid={"delta": [2.0, 10.0]},
+        fixed={"packets_per_node": 40, "warmup": 10.0},
+        seeds=range(SLOTTED_SWEEP_SEEDS[quick]),
+    )
+    rounds = []
+    with CampaignRunner(jobs=1) as runner:
+        for _ in range(3):
+            start = time.perf_counter()
+            runner.run(sweep)
+            rounds.append(time.perf_counter() - start)
+    return len(sweep.scenarios()), sorted(rounds)[1]
 
 
 def collect(quick: bool) -> dict:
@@ -221,6 +249,10 @@ def collect(quick: bool) -> dict:
     metrics["sinr_throughput_ratio"] = round(sinr["sinr_throughput_ratio"], 3)
     metrics["sinr_hidden_delivered"] = physics["hidden_delivered"]
     metrics["sinr_delivery_asymmetry"] = round(physics["delivery_asymmetry"], 3)
+
+    slotted_runs, slotted_s = measure_slotted_sweep(quick)
+    metrics["slotted_sweep_runs"] = slotted_runs
+    metrics["slotted_sweep_s"] = round(slotted_s, 3)
 
     rings = engine_bench.SMOKE_RINGS if quick else engine_bench.BENCH_RINGS
     duration = engine_bench.SMOKE_DURATION if quick else engine_bench.BENCH_DURATION

@@ -13,6 +13,11 @@ evaluation:
 * :class:`~repro.mac.tdma.Tdma` — fixed-assignment TDMA, the
   contention-free reference point (and the registry's extensibility proof).
 
+The slotted ones (ALOHA, ALOHA-Q, TDMA) derive from
+:class:`~repro.mac.slotted.SlottedMac` and are woken by one shared
+:class:`~repro.mac.slotted.SlotClock` per simulator and slot grid, only at
+boundaries where they can transmit.
+
 QMA itself lives in :mod:`repro.core`.  Every protocol registers itself by
 name in :mod:`repro.mac.registry`; resolve protocols there instead of
 hard-coding classes.

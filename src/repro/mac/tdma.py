@@ -11,6 +11,13 @@ and is immediately available to every experiment, sweep and CLI command.
 
 Like the other baselines it honours an :class:`~repro.mac.gate.ActivityGate`
 so it can be confined to the CAP of a DSME superframe.
+
+Wake and suspend rules: the shared :class:`~repro.mac.slotted.SlotClock`
+wakes a node only at the start of its own slot, and only while it has a
+frame queued and none in flight.  An enqueue arms an idle node for its
+first own slot after the enqueue; the end of a transaction re-arms it for
+the first own slot after that; a node whose queue is empty schedules
+nothing.
 """
 
 from __future__ import annotations
@@ -18,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
-from repro.mac.base import MacProtocol, TransactionResult
 from repro.mac.gate import ActivityGate
 from repro.mac.registry import register_mac
-from repro.phy.frames import Frame
+from repro.mac.slotted import SlottedConfig, SlottedMac
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.radio import Radio
@@ -29,25 +35,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @dataclass(frozen=True)
-class TdmaConfig:
+class TdmaConfig(SlottedConfig):
     """Parameters of the fixed-assignment TDMA baseline."""
-
-    slots_per_frame: int = 10
-    slot_duration: float = 5e-3
-    queue_capacity: int = 8
-    max_frame_retries: int = 3
-
-    def __post_init__(self) -> None:
-        if self.slots_per_frame <= 0:
-            raise ValueError("slots_per_frame must be positive")
-        if self.slot_duration <= 0:
-            raise ValueError("slot_duration must be positive")
-        if self.max_frame_retries < 0:
-            raise ValueError("max_frame_retries must be non-negative")
 
 
 @register_mac("tdma", config_cls=TdmaConfig, description="fixed-assignment TDMA")
-class Tdma(MacProtocol):
+class Tdma(SlottedMac):
     """Transmit only in the node's own slot of every TDMA frame."""
 
     name = "tdma"
@@ -59,57 +52,12 @@ class Tdma(MacProtocol):
         config: Optional[TdmaConfig] = None,
         gate: Optional[ActivityGate] = None,
     ) -> None:
-        self.config = config if config is not None else TdmaConfig()
-        super().__init__(
-            sim,
-            radio,
-            queue_capacity=self.config.queue_capacity,
-            max_frame_retries=self.config.max_frame_retries,
-            gate=gate,
-        )
+        super().__init__(sim, radio, config if config is not None else TdmaConfig(), gate)
         self.own_slot = self.node_id % self.config.slots_per_frame
-        self._slot_index = -1
-        self._in_flight: Optional[Frame] = None
-        self._tick_event = None
 
-    # ------------------------------------------------------------------ clock
-    def start(self) -> None:
-        super().start()
-        self._tick_event = self.sim.schedule(0.0, self._on_slot)
+    def _first_action(self, k: int) -> int:
+        return k + (self.own_slot - k) % self.config.slots_per_frame
 
-    def stop(self) -> None:
-        if self._tick_event is not None and self._tick_event.pending:
-            self._tick_event.cancel()
-        self._tick_event = None
-
-    def _on_slot(self) -> None:
-        self._slot_index = (self._slot_index + 1) % self.config.slots_per_frame
-        self._maybe_transmit()
-        self._tick_event = self.sim.schedule(self.config.slot_duration, self._on_slot)
-
-    # -------------------------------------------------------------- behaviour
-    def _maybe_transmit(self) -> None:
-        if self._in_flight is not None or self._slot_index != self.own_slot:
-            return
-        if not self.gate.active(self.sim.now) or self.radio.transmitting:
-            return
-        frame = self.queue.peek()
-        if frame is None:
-            return
-        self._in_flight = frame
-        self._begin_transmission(frame)
-
-    def _notify_enqueue(self) -> None:
-        # Transmissions happen only at the node's own slot boundary.
-        pass
-
-    # ------------------------------------------------------------ transaction
-    def _transaction_complete(self, frame: Frame, result: TransactionResult) -> None:
-        self._in_flight = None
-        if result is TransactionResult.SUCCESS:
-            self._finish_frame(frame, success=True)
-            return
-        frame.retries += 1
-        if frame.retries > self.config.max_frame_retries:
-            self.stats.dropped_retries += 1
-            self._finish_frame(frame, success=False)
+    def _transmit_head(self) -> None:
+        if not self.radio.transmitting:
+            super()._transmit_head()

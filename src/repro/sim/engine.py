@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -156,6 +156,10 @@ class Simulator:
         )
         self._trace_hooks: List[Callable[[float, str, dict], None]] = []
         self.events_executed = 0
+        #: Per-simulation objects that components share, keyed by their
+        #: owners (e.g. the slot clock of the slotted MACs); they live and
+        #: die with the simulator.
+        self.shared: Dict[Any, Any] = {}
 
     # ------------------------------------------------------------------ time
     @property

@@ -25,13 +25,19 @@ def build_star(sim, mac_cls, num_senders=2, config=None):
     return sink_mac, sender_macs
 
 
-def test_invalid_config_rejected():
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"slots_per_frame": 0},
+        {"slot_duration": 0.0},
+        {"max_frame_retries": -1},
+        {"learning_rate": 0.0},
+        {"exploration_rate": 1.5},
+    ],
+)
+def test_invalid_config_rejected(kwargs):
     with pytest.raises(ValueError):
-        AlohaConfig(slots_per_frame=0)
-    with pytest.raises(ValueError):
-        AlohaConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        AlohaConfig(exploration_rate=1.5)
+        AlohaConfig(**kwargs)
 
 
 def test_slotted_aloha_delivers_single_sender():
@@ -113,3 +119,32 @@ def test_aloha_stop_cancels_slot_clock():
     mac.stop()
     sim.run_until(1.0)
     assert sim.pending_events() == 0
+
+
+def test_aloha_q_credits_the_slot_a_transaction_was_sent_in():
+    """A transaction that outlives its frame (1 ms slots, ~3.65 ms transaction)
+    ends after the next frame's slot has been drawn; the outcome must still
+    be credited to the slot the frame went out in."""
+    sim = Simulator(seed=5)
+    config = AlohaConfig(slots_per_frame=4, slot_duration=1e-3, exploration_rate=1.0)
+    sink, (sender,) = build_star(sim, AlohaQ, num_senders=1, config=config)
+    sent_slots, credited_slots = [], []
+
+    class RecordingList(list):
+        def __setitem__(self, index, value):
+            credited_slots.append(index)
+            super().__setitem__(index, value)
+
+    sender.q_values = RecordingList(sender.q_values)
+    original = sender._begin_transmission
+
+    def spy(frame):
+        sent_slots.append(round(sim.now / config.slot_duration) % config.slots_per_frame)
+        return original(frame)
+
+    sender._begin_transmission = spy
+    for _ in range(8):
+        sender.send(Frame(FrameKind.DATA, src=1, dst=0))
+    sim.run_until(1.0)
+    assert sender.stats.tx_success == 8
+    assert credited_slots == sent_slots
