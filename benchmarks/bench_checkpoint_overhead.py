@@ -11,9 +11,9 @@ per-record append is a fixed cost.
 Both sides run the identical sweep through the identical warm pool at the
 same worker count; the checkpointed side additionally pays the journal
 header, one append+flush per record and the final digest-verified replay
-pass into the (null) output path.  Rounds are paired (plain then
-journalled, back to back) and the reported overhead is the median paired
-ratio, which cancels machine-load drift.
+pass into the (null) output path.  Rounds are paired (back to back, the
+side that runs first alternating between pairs) and the reported
+overhead is the median paired ratio, which cancels machine-load drift.
 
 Run directly (``python benchmarks/bench_checkpoint_overhead.py --quick``)
 or through ``benchmarks/run_all.py``.
@@ -46,8 +46,36 @@ SMOKE_RUNS = 100
 OVERHEAD_CEILING = 1.05
 SMOKE_OVERHEAD_CEILING = 1.15
 
-#: Paired measurement rounds; the median ratio is reported.
-ROUNDS = 3
+#: Paired measurement rounds; the median ratio is reported.  The sides
+#: alternate which runs first, so warm-up and load drift within a pair
+#: do not favour either side, and the pair count keeps ~10-20 ms of
+#: scheduling jitter on a ~0.3 s sweep from deciding the median.
+ROUNDS = 11
+
+
+def _plain_s(sweep) -> float:
+    with CampaignRunner(jobs=JOBS) as runner:
+        start = time.perf_counter()
+        for _record in runner.iter_records(sweep):
+            pass
+        return time.perf_counter() - start
+
+
+def _journalled_s(sweep, runs: int) -> float:
+    backend = PoolBackend(jobs=JOBS)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            journal_path = os.path.join(tmp, "bench.journal.jsonl")
+            start = time.perf_counter()
+            outcome = run_checkpointed(sweep, journal_path, backend=backend)
+            journal_s = time.perf_counter() - start
+    finally:
+        backend.close()
+    if outcome.executed != runs:
+        raise RuntimeError(
+            f"checkpointed sweep executed {outcome.executed} of {runs} runs"
+        )
+    return journal_s
 
 
 def measure_checkpoint_overhead(runs: int, rounds: int = ROUNDS) -> dict:
@@ -56,26 +84,13 @@ def measure_checkpoint_overhead(runs: int, rounds: int = ROUNDS) -> dict:
     # artifact caches never cross-pollinate the comparison.
     sweep = short_sweep(20_000, runs)
     pairs = []
-    for _ in range(rounds):
-        with CampaignRunner(jobs=JOBS) as runner:
-            start = time.perf_counter()
-            for _record in runner.iter_records(sweep):
-                pass
-            plain_s = time.perf_counter() - start
-
-        backend = PoolBackend(jobs=JOBS)
-        try:
-            with tempfile.TemporaryDirectory() as tmp:
-                journal_path = os.path.join(tmp, "bench.journal.jsonl")
-                start = time.perf_counter()
-                outcome = run_checkpointed(sweep, journal_path, backend=backend)
-                journal_s = time.perf_counter() - start
-        finally:
-            backend.close()
-        if outcome.executed != runs:
-            raise RuntimeError(
-                f"checkpointed sweep executed {outcome.executed} of {runs} runs"
-            )
+    for round_no in range(rounds):
+        if round_no % 2:
+            journal_s = _journalled_s(sweep, runs)
+            plain_s = _plain_s(sweep)
+        else:
+            plain_s = _plain_s(sweep)
+            journal_s = _journalled_s(sweep, runs)
         pairs.append((plain_s, journal_s))
 
     pairs.sort(key=lambda pair: pair[1] / pair[0])

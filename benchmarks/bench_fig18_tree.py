@@ -26,6 +26,7 @@ def test_bench_fig18_tree_pdr(benchmark):
     assert all(0.0 <= pdr <= 1.0 for pdr in qma.table("pdr_per_node").values())
     # On this reduced workload (60 packets per node after a 25 s warm-up) QMA
     # is still in its learning phase in the multi-hop tree, so only CSMA/CA's
-    # level is asserted; EXPERIMENTS.md discusses the paper-scale comparison.
+    # level is asserted; the paper-scale comparison is still open (ROADMAP.md,
+    # direction 3).
     assert qma.overall_pdr > 0.0
     assert results["unslotted-csma"].overall_pdr > 0.3

@@ -1,12 +1,15 @@
 """Remote dispatch overhead: two-localhost-agent sweep vs. local shards.
 
-The remote backend ships the same shard job documents that the local
-:class:`~repro.service.backends.ShardBackend` hands to subprocess
-workers, so the only *extra* cost of going cross-host is the transport:
-the agent round-trip, journal byte streaming over TCP, heartbeats and
-the digest-verified stream merge.  On a loopback network that overhead
-must stay small, or the remote path would be mis-measuring its own
-transport rather than the fleet it is meant to scale across.
+The reference side is the ``shard`` backend kind (``--shards N``): N
+in-process loopback agents with one slot each, built by
+:func:`~repro.service.backends.make_backend`.  The measured side is a
+:class:`~repro.service.remote.RemoteBackend` over two separately started
+agents with two slots each — the same slot count, job documents and
+stream merge, so the ratio isolates how the slots are spread over agents
+(agent round-trips, concurrent streams per agent, heartbeats).  On a
+loopback network that overhead must stay small, or the remote path
+would be mis-measuring its own transport rather than the fleet it is
+meant to scale across.
 
 Two checks on the standard orchestration-dominated short sweep:
 
@@ -25,14 +28,13 @@ Run directly (``python benchmarks/bench_remote_dispatch.py --quick``).
 from __future__ import annotations
 
 import os
-import shutil
 import sys
 import tempfile
 import time
 
 from bench_sweep_orchestration import short_sweep
 from repro.service.agent import AgentServer, CampaignAgent
-from repro.service.backends import ShardBackend
+from repro.service.backends import make_backend
 from repro.service.journal import CheckpointJournal
 from repro.service.remote import RemoteBackend
 
@@ -78,38 +80,34 @@ def measure_remote_overhead(runs: int, rounds: int = ROUNDS) -> dict:
     # Seeds far away from the other orchestration benchmarks so warm
     # caches never cross-pollinate the comparison.
     sweep = short_sweep(40_000, runs)
-    servers = []
-    hosts = []
-    scratch = tempfile.mkdtemp(prefix="bench-remote-agents-")
-    for i in range(AGENTS):
-        agent = CampaignAgent(
-            workdir=os.path.join(scratch, f"agent{i}"), name=f"bench{i}"
-        )
-        server = AgentServer(agent)
-        host, port = server.start()
-        servers.append(server)
-        hosts.append(f"{host}:{port}*{CAP}")
-    try:
-        pairs = []
-        reference = None
-        for _ in range(rounds):
+    pairs = []
+    reference = None
+    for _ in range(rounds):
+        # Fresh agents every round, as the shard side gets: agents keep
+        # finished jobs attachable, so reused ones would only re-stream
+        # the previous round's journals instead of running the sweep.
+        servers = [AgentServer(CampaignAgent(name=f"bench{i}")) for i in range(AGENTS)]
+        hosts = [f"{host}:{port}*{CAP}" for host, port in (s.start() for s in servers)]
+        try:
             with tempfile.TemporaryDirectory() as tmp:
                 shard_s, local = _run(
-                    ShardBackend(shards=SHARDS), sweep, tmp, "shard.jsonl"
+                    make_backend({"backend": "shard", "shards": SHARDS}),
+                    sweep,
+                    tmp,
+                    "shard.jsonl",
                 )
                 remote_s, remote = _run(
                     RemoteBackend(hosts), sweep, tmp, "remote.jsonl"
                 )
-            if remote != local:
-                raise RuntimeError(
-                    "remote-merged records differ from the local shard run"
-                )
-            reference = local
-            pairs.append((shard_s, remote_s))
-    finally:
-        for server in servers:
-            server.stop()
-        shutil.rmtree(scratch, ignore_errors=True)
+        finally:
+            for server in servers:
+                server.stop()
+        if remote != local:
+            raise RuntimeError(
+                "remote-merged records differ from the local shard run"
+            )
+        reference = local
+        pairs.append((shard_s, remote_s))
     assert reference is not None
     pairs.sort(key=lambda pair: pair[1] / pair[0])
     shard_s, remote_s = pairs[len(pairs) // 2]

@@ -1142,7 +1142,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="with --checkpoint: split the campaign into N affinity-ordered "
-        "subprocess shards, each with --jobs workers",
+        "shards run by N local agents, each shard with --jobs workers",
     )
     _add_hosts_option(p)
     _add_campaign_options(p)
@@ -1167,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shards", type=int, default=2, metavar="N",
-        help="shard count when --backend shard (default: 2)",
+        help="number of local agents when --backend shard (default: 2)",
     )
     _add_hosts_option(p)
     p.add_argument(
@@ -1195,7 +1195,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override seed batching",
     )
     p.add_argument(
-        "--shards", type=int, default=None, metavar="N", help="override shard count"
+        "--shards", type=int, default=None, metavar="N",
+        help="override the number of local agents (--backend shard)",
     )
     _add_hosts_option(p)
     p.add_argument(
@@ -1250,7 +1251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="run the remaining work as N subprocess shards",
+        help="run the remaining work as shards on N local agents",
     )
     _add_hosts_option(p)
     _add_campaign_options(p)
@@ -1271,7 +1272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("journal", help="checkpoint journal of the partial campaign")
     p.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="run the retries as N subprocess shards",
+        help="run the retries as shards on N local agents",
     )
     _add_hosts_option(p)
     _add_campaign_options(p)

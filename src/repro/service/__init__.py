@@ -9,17 +9,18 @@ million-run sweeps:
   checkpoint journal (with event audit lines and sealed-segment
   compaction);
 * :mod:`repro.service.backends` — pluggable dispatch (warm in-process
-  pool, subprocess shards, isolated serial);
+  pool, agent-dispatched shards, isolated serial);
 * :mod:`repro.service.supervisor` — fault tolerance: per-run timeouts,
   heartbeats, bounded retry with backoff, poison-run quarantine, and
-  graceful backend degradation;
+  graceful backend degradation (agent shards → pool → isolated serial);
 * :mod:`repro.service.faults` — the deterministic fault-injection
   harness behind the chaos test matrix;
 * :mod:`repro.service.checkpoint` — the resume-safe driver shared by the
   CLI and the service;
-* :mod:`repro.service.remote` / :mod:`repro.service.agent` — cross-host
-  shard dispatch: per-host agents executing shard job documents, with
-  host-health quarantine and byte-offset-resumable journal streaming;
+* :mod:`repro.service.remote` / :mod:`repro.service.agent` — shard
+  dispatch: agents (remote hosts, or in-process loopback agents for
+  ``--shards N``) executing shard job documents, with host-health
+  quarantine and byte-offset-resumable journal streaming;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   long-lived asyncio front end and its blocking client.
 """
@@ -28,8 +29,6 @@ from repro.service.backends import (
     DispatchBackend,
     PoolBackend,
     SerialBackend,
-    ShardBackend,
-    ShardFailure,
     make_backend,
 )
 from repro.service.checkpoint import CheckpointOutcome, run_checkpointed
@@ -53,6 +52,7 @@ from repro.service.remote import (
     HostSpec,
     RemoteBackend,
     RemoteDispatchError,
+    ShardFailure,
     parse_hosts,
 )
 from repro.service.server import CampaignServer, CampaignService
@@ -86,7 +86,6 @@ __all__ = [
     "SerialBackend",
     "ServiceClient",
     "ServiceError",
-    "ShardBackend",
     "ShardFailure",
     "SupervisedBackend",
     "SweepMismatchError",

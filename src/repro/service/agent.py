@@ -1,10 +1,13 @@
-"""Per-host campaign agent: executes shard jobs, streams journals back.
+"""Campaign agent: executes shard jobs, streams journals back.
 
-An agent is the remote half of :class:`repro.service.remote.RemoteBackend`:
-a small TCP server (``qma-repro agent``) that accepts the service's shard
-job documents, runs each one through the ordinary
-:mod:`repro.service.shard_worker` subprocess, and streams the growing
-shard journal back to the dispatcher as raw byte chunks.  The protocol is
+An agent is the far half of :class:`repro.service.remote.RemoteBackend`:
+a small TCP server that accepts the service's shard job documents, runs
+each one through the ordinary :mod:`repro.service.shard_worker`
+subprocess, and streams the growing shard journal back to the dispatcher
+as raw byte chunks.  It runs as its own process on a worker host
+(``qma-repro agent``) or, for ``--shards N``, as N loopback servers
+inside the dispatching process
+(:func:`repro.service.remote.loopback_backend`).  The protocol is
 the service's line-delimited JSON, one request line per connection::
 
     -> {"op": "run", "id": ..., "job": {...}, "offset": N, "stream": SID}
@@ -31,7 +34,10 @@ transport partition-safe:
   unrelated byte streams.
 * **Connections are disposable, jobs are not.**  A broken connection
   stops the streaming loop but leaves the shard worker running; the job
-  stays attachable (also after completion) until the agent exits.
+  stays attachable (also after completion) until the agent exits or the
+  dispatcher cancels it.  A cancel stops the worker's process group and
+  forgets the job, so the next ``run`` with that id starts afresh and
+  resumes the shard journal on disk.
 * **Heartbeats carry the journal size.**  The dispatcher only counts a
   heartbeat as *progress* when the size grew, so a slow link does not
   false-trip ``run_timeout`` watchdogs while a genuinely hung worker
@@ -39,15 +45,17 @@ transport partition-safe:
 
 Agent-side chaos faults ride in on the job document: ``agent-crash``
 kills the whole agent process before a matched shard starts (a dead-box
-stand-in), ``slow-link`` stalls chunk delivery while the worker keeps
-running (heartbeats still flow).
+stand-in; so it is refused for loopback agents, which share the
+dispatcher's process), ``slow-link`` stalls chunk delivery while the
+worker keeps running (heartbeats still flow).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import signal
+import socket
 import socketserver
 import subprocess
 import sys
@@ -55,9 +63,7 @@ import tempfile
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.service.backends import STDERR_TAIL_LINES, _tail_lines, _worker_env
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = ["AgentServer", "CampaignAgent"]
 
@@ -69,6 +75,12 @@ HEARTBEAT_INTERVAL = 0.5
 
 #: Journal growth / worker liveness poll period.
 POLL_INTERVAL = 0.05
+
+#: Lines of worker stderr shipped with a failed job's ``done`` line.
+STDERR_TAIL_LINES = 50
+
+#: Seconds a cancelled worker gets to die after SIGTERM before SIGKILL.
+TERM_GRACE = 5.0
 
 Send = Callable[[Dict[str, Any]], None]
 
@@ -97,6 +109,20 @@ class _AgentJob:
             return os.path.getsize(self.journal_path)
         except OSError:
             return 0
+
+    def stop(self, sig: int = signal.SIGTERM) -> None:
+        """Signal the worker's process group (its pool children too), reap it."""
+        proc = self.proc
+        if proc is not None and proc.poll() is None:
+            _signal_group(proc, sig)
+            try:
+                proc.wait(TERM_GRACE)
+            except subprocess.TimeoutExpired:
+                _signal_group(proc, signal.SIGKILL)
+                proc.wait()
+        if self.stderr_handle is not None:
+            self.stderr_handle.close()
+            self.stderr_handle = None
 
 
 class CampaignAgent:
@@ -147,8 +173,13 @@ class CampaignAgent:
         if job is None:
             send({"error": {"kind": "unknown-job", "message": f"no job {job_id!r}"}})
             return
-        if job.proc is not None and job.proc.poll() is None:
-            job.proc.terminate()
+        job.stop()
+        # A cancelled job is forgotten: a later ``run`` with the same id
+        # starts a fresh incarnation (new stream token) that resumes the
+        # shard journal on disk, instead of re-attaching to a dead worker.
+        with self._lock:
+            if self._jobs.get(job_id) is job:
+                del self._jobs[job_id]
         send({"cancelled": {"id": job_id}})
 
     def _handle_run(self, request: Dict[str, Any], send: Send) -> None:
@@ -178,7 +209,11 @@ class CampaignAgent:
                             }
                         })
                         return
-                job = self._start_job(job_id, job_doc)
+                try:
+                    job = self._start_job(job_id, job_doc)
+                except OSError as exc:  # e.g. the worker interpreter is missing
+                    send({"error": {"kind": "start-failed", "message": str(exc)}})
+                    return
                 self._jobs[job_id] = job
         # Offset/stream reconciliation: resuming a byte offset is only
         # valid against the same stream token and within the file.
@@ -216,12 +251,19 @@ class CampaignAgent:
         with open(job_path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
         job.stderr_handle = open(job.stderr_path, "wb")
-        job.proc = subprocess.Popen(
-            [self.python, "-m", "repro.service.shard_worker", job_path],
-            stdout=subprocess.DEVNULL,
-            stderr=job.stderr_handle,
-            env=_worker_env(),
-        )
+        try:
+            job.proc = subprocess.Popen(
+                [self.python, "-m", "repro.service.shard_worker", job_path],
+                stdout=subprocess.DEVNULL,
+                stderr=job.stderr_handle,
+                env=_worker_env(),
+                # Own process group, so stopping the job also stops the
+                # worker's pool children (a hung run included).
+                start_new_session=True,
+            )
+        except OSError:
+            job.stop()
+            raise
         return job
 
     # ------------------------------------------------------------ streaming
@@ -285,12 +327,7 @@ class CampaignAgent:
         with self._lock:
             jobs = list(self._jobs.values())
         for job in jobs:
-            if job.proc is not None and job.proc.poll() is None:
-                job.proc.kill()
-                job.proc.wait()
-            if job.stderr_handle is not None:
-                job.stderr_handle.close()
-                job.stderr_handle = None
+            job.stop(signal.SIGKILL)
         if self._owns_workdir:
             import shutil
 
@@ -367,49 +404,45 @@ class AgentServer:
             self._thread.join(0.5)
 
     def stop(self) -> None:
+        # Shutting the listening socket down wakes the accept poll at once,
+        # so ``shutdown`` need not wait out the 0.1 s ``serve_forever`` tick.
+        try:
+            self._server.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._server.shutdown()
         self._server.server_close()
         self.agent.shutdown()
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="qma-repro agent",
-        description="Run a campaign agent executing shard jobs for a "
-        "remote dispatcher (see 'qma-repro sweep --hosts').",
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument(
-        "--port", type=int, default=0, help="bind port (0 = ephemeral, printed)"
-    )
-    parser.add_argument(
-        "--workdir", default=None, help="job/journal scratch directory"
-    )
-    parser.add_argument(
-        "--max-jobs", type=int, default=0,
-        help="maximum concurrent shard workers (0 = unbounded)",
-    )
-    parser.add_argument("--name", default=None, help="agent name in hellos")
-    args = parser.parse_args(argv)
-    agent = CampaignAgent(
-        workdir=args.workdir, max_jobs=args.max_jobs, name=args.name
-    )
-    server = AgentServer(agent, args.host, args.port)
-    host, port = server.start()
-    # Harnesses parse this line to find an ephemeral port.
-    print(
-        f"campaign agent {agent.name} listening on {host}:{port} "
-        f"(workdir: {agent.workdir})",
-        flush=True,
-    )
+def _signal_group(proc: subprocess.Popen, sig: int) -> None:
     try:
-        server.wait()
-    except KeyboardInterrupt:
-        print("campaign agent stopped")
-    finally:
-        server.stop()
-    return 0
+        os.killpg(proc.pid, sig)
+    except ProcessLookupError:  # the whole group has exited already
+        pass
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())
+def _tail_lines(path: str, limit: int) -> str:
+    """The last ``limit`` lines of a (possibly missing) text file."""
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(0, os.SEEK_END)
+            size = handle.tell()
+            handle.seek(max(0, size - 64 * 1024))
+            data = handle.read()
+    except OSError:
+        return ""
+    text = data.decode("utf-8", errors="replace")
+    return "\n".join(text.splitlines()[-limit:])
+
+
+def _worker_env() -> Dict[str, str]:
+    """Subprocess environment with the repro package importable."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH", "")
+    if src not in existing.split(os.pathsep):
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+    return env

@@ -1,32 +1,32 @@
-"""Pluggable campaign dispatch: in-process pool, subprocess shards, serial.
+"""Pluggable campaign dispatch: in-process pool, agent shards, serial.
 
 A :class:`DispatchBackend` executes the pending runs of a sweep and
 appends every finished record to the campaign's checkpoint journal.  The
 contract is deliberately small — ``run(sweep, indices, journal,
-on_record)`` — so new execution substrates (a remote-host dispatcher, a
-batch scheduler) plug in without touching the journal, the service front
-end or the CLI:
+on_record)`` — so execution substrates plug in without touching the
+journal, the service front end or the CLI.  :func:`make_backend` builds
+one from a plain options mapping:
 
-* :class:`PoolBackend` — the default: one warm
+* ``pool`` — :class:`PoolBackend`, the default: one warm
   :class:`~repro.campaign.runner.CampaignRunner` (persistent worker pool,
   build cache, seed batches) executing the pending set in expansion order.
-* :class:`ShardBackend` — splits the pending set into contiguous
-  *affinity-ordered* shards (see :func:`repro.service.manifest.affinity_order`)
-  and runs each shard as a subprocess (:mod:`repro.service.shard_worker`)
-  with its own journal; shard journals are merged into the main journal as
-  each shard completes.  Because shards are contiguous slices of the
-  affinity order, each shard keeps the PR 5 build-cache streaks and PR 7
-  seed-batch groups intact — and because every record is a pure function
-  of its scenario, the merged results are bit-identical to a single-process
-  run.  :class:`~repro.service.remote.RemoteBackend` rides this seam:
-  it ships the same job document to per-host agent processes instead of
-  local subprocesses and merges the streamed-back journals identically.
-* :class:`SerialBackend` — one run at a time in (or forked from) the
-  calling process.  With ``isolate`` each run executes in a disposable
-  child process with an optional wall-clock timeout, so a poison scenario
-  that segfaults or loops cannot take the caller down — this is the
-  supervision layer's last-resort degradation tier and the substrate that
-  attributes failures to *specific* runs for quarantine.
+* ``remote`` and ``shard`` — :class:`~repro.service.remote.RemoteBackend`:
+  the pending set is split into contiguous *affinity-ordered* slices (see
+  :func:`repro.service.manifest.affinity_order`), each run by a
+  :mod:`repro.service.shard_worker` subprocess that a campaign agent
+  starts, and the agents' journals are streamed back and merged.  Because
+  slices are contiguous in affinity order, each keeps the build-cache
+  streaks and seed-batch groups intact — and because every record is a
+  pure function of its scenario, the merged results are bit-identical to
+  a single-process run.  ``remote`` reaches agents on other hosts
+  (``--hosts``); ``shard`` (``--shards N``) starts N loopback agents in
+  this process and stops them on ``close``.
+* ``serial`` — :class:`SerialBackend`: one run at a time in (or forked
+  from) the calling process.  With ``isolate`` each run executes in a
+  disposable child process with an optional wall-clock timeout, so a
+  poison scenario that segfaults or loops cannot take the caller down —
+  this is the supervision layer's last-resort degradation tier and the
+  substrate that attributes failures to *specific* runs for quarantine.
 
 Every backend shares a small supervision surface: :meth:`~DispatchBackend.
 touch` timestamps progress (``last_progress``) for heartbeat watchdogs,
@@ -39,39 +39,27 @@ re-arms an aborted backend for a retry attempt.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import os
 import queue
-import shutil
-import subprocess
-import sys
-import tempfile
 import threading
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.records import RunRecord
 from repro.campaign.runner import CampaignRunner, execute_scenario
 from repro.campaign.spec import Scenario, Sweep
-from repro.service.journal import CheckpointJournal, JournalError
-from repro.service.manifest import affinity_order, shard_job_document, split_shards
+from repro.service.journal import CheckpointJournal
 
 __all__ = [
     "DispatchBackend",
     "PoolBackend",
     "SerialBackend",
-    "ShardBackend",
-    "ShardFailure",
     "make_backend",
 ]
 
 #: Callback invoked per finished record: ``on_record(index, record)``.
 RecordCallback = Callable[[int, RunRecord], None]
-
-#: Lines of child stderr surfaced in a :class:`ShardFailure`.
-STDERR_TAIL_LINES = 50
 
 
 class DispatchBackend:
@@ -293,231 +281,6 @@ class PoolBackend(DispatchBackend):
         self._runner.close()
 
 
-class ShardFailure(RuntimeError):
-    """A shard subprocess exited non-zero; carries its stderr tail."""
-
-    def __init__(self, message: str, stderr_tail: str = "") -> None:
-        super().__init__(message)
-        self.stderr_tail = stderr_tail
-
-
-class ShardBackend(DispatchBackend):
-    """Contiguous affinity-ordered shards, one subprocess per shard.
-
-    Each shard worker writes its own journal (same format, same spec
-    digest, shard provenance in the header meta); as each worker exits the
-    parent verifies the shard journal against the manifest and merges its
-    records into the main journal.  A crash in the parent between shard
-    completion and merge loses only the unmerged shard's progress — the
-    shard journals themselves live next to the main journal (in
-    ``<journal>.shards/``) until the whole dispatch succeeds.
-
-    On a shard *failure* (nonzero exit), the remaining shards are stopped
-    and every shard journal — including the failed shard's partial one —
-    is salvage-merged into the main journal before :class:`ShardFailure`
-    is raised, so completed runs are never re-executed by a retry.  The
-    failure carries the child's last ~50 stderr lines (worker stderr goes
-    to a file, not a pipe, so chatty shards cannot deadlock on a full
-    pipe).  Shard journal growth doubles as the heartbeat: any byte of
-    progress in any shard journal bumps ``last_progress``.
-
-    ``jobs`` is the per-shard worker-pool size (total process count is
-    roughly ``shards * jobs`` while running).
-    """
-
-    name = "shard"
-
-    #: Seconds between subprocess liveness polls.
-    POLL_INTERVAL = 0.05
-
-    #: Seconds a cancelled/aborted shard gets to die after SIGTERM.
-    TERM_GRACE = 5.0
-
-    def __init__(
-        self,
-        shards: int = 2,
-        jobs: int = 1,
-        chunksize: Any = "auto",
-        build_cache: bool = True,
-        batch_seeds: int = 1,
-        python: Optional[str] = None,
-        fault_plan: Optional[Any] = None,
-    ) -> None:
-        super().__init__()
-        if shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
-        self.shards = int(shards)
-        self.options = {
-            "jobs": int(jobs),
-            "chunksize": chunksize,
-            "build_cache": bool(build_cache),
-            "batch_seeds": int(batch_seeds),
-        }
-        self.python = python or sys.executable
-        self.fault_plan = fault_plan
-
-    def run(
-        self,
-        sweep: Sweep,
-        indices: Sequence[int],
-        journal: CheckpointJournal,
-        on_record: Optional[RecordCallback] = None,
-    ) -> None:
-        indices = list(indices)
-        if not indices:
-            return
-        self.touch()
-        chunks = split_shards(affinity_order(sweep, indices), self.shards)
-        workdir = self._workdir(journal)
-        sweep_data = sweep.to_dict()
-        procs: Dict[int, subprocess.Popen] = {}
-        shard_paths: Dict[int, str] = {}
-        stderr_paths: Dict[int, str] = {}
-        stderr_handles: List[Any] = []
-        journal_sizes: Dict[int, int] = {}
-        try:
-            for shard_index, chunk in enumerate(chunks):
-                job_path = os.path.join(workdir, f"shard_{shard_index}.job.json")
-                shard_paths[shard_index] = os.path.join(
-                    workdir, f"shard_{shard_index}.journal.jsonl"
-                )
-                stderr_paths[shard_index] = os.path.join(
-                    workdir, f"shard_{shard_index}.stderr"
-                )
-                job_doc = shard_job_document(
-                    sweep_data,
-                    chunk,
-                    shard_paths[shard_index],
-                    shard_index,
-                    len(chunks),
-                    self.options,
-                    faults=self.fault_plan,
-                )
-                with open(job_path, "w", encoding="utf-8") as handle:
-                    json.dump(job_doc, handle)
-                stderr_file = open(stderr_paths[shard_index], "wb")
-                stderr_handles.append(stderr_file)
-                procs[shard_index] = subprocess.Popen(
-                    [self.python, "-m", "repro.service.shard_worker", job_path],
-                    stdout=subprocess.DEVNULL,
-                    stderr=stderr_file,
-                    env=_worker_env(),
-                )
-            pending = dict(procs)
-            while pending:
-                if self._stop.is_set() or self._cancel.is_set():
-                    self._stop_children(pending)
-                    self._salvage(shard_paths, journal, on_record)
-                    return
-                finished = [
-                    shard for shard, proc in pending.items() if proc.poll() is not None
-                ]
-                if not finished:
-                    self._heartbeat(shard_paths, journal_sizes)
-                    time.sleep(self.POLL_INTERVAL)
-                    continue
-                for shard in finished:
-                    proc = pending.pop(shard)
-                    if proc.returncode != 0:
-                        self._stop_children(pending)
-                        self._salvage(shard_paths, journal, on_record)
-                        tail = _tail_lines(stderr_paths[shard], STDERR_TAIL_LINES)
-                        raise ShardFailure(
-                            f"shard {shard} exited with status {proc.returncode}"
-                            + (f":\n{tail}" if tail else ""),
-                            stderr_tail=tail,
-                        )
-                    self._merge(shard_paths[shard], journal, on_record)
-                    self.touch()
-        finally:
-            for proc in procs.values():
-                if proc.poll() is None:
-                    proc.kill()
-                    proc.wait()
-            for handle in stderr_handles:
-                handle.close()
-            shutil.rmtree(workdir, ignore_errors=True)
-
-    def _heartbeat(self, shard_paths: Dict[int, str], sizes: Dict[int, int]) -> None:
-        """Treat any shard-journal growth as campaign progress."""
-        for shard, path in shard_paths.items():
-            try:
-                size = os.path.getsize(path)
-            except OSError:
-                continue
-            if size != sizes.get(shard):
-                sizes[shard] = size
-                self.touch()
-
-    def _stop_children(self, pending: Mapping[int, subprocess.Popen]) -> None:
-        """Terminate the still-running shards (grace period, then kill)."""
-        for proc in pending.values():
-            if proc.poll() is None:
-                proc.terminate()
-        deadline = time.monotonic() + self.TERM_GRACE
-        for proc in pending.values():
-            remaining = deadline - time.monotonic()
-            try:
-                proc.wait(timeout=max(0.0, remaining))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-
-    def _salvage(
-        self,
-        shard_paths: Mapping[int, str],
-        journal: CheckpointJournal,
-        on_record: Optional[RecordCallback],
-    ) -> None:
-        """Merge whatever the shard journals already committed.
-
-        Called on cancellation, abort, or a shard failure — the surviving
-        records are digest-verified like any merge, torn shard tails are
-        discarded by the tolerant open, and unreadable shard journals
-        (killed before the header fsynced) are skipped.  A later retry
-        then re-dispatches only the truly missing indices.
-        """
-        for path in shard_paths.values():
-            if not os.path.exists(path):
-                continue
-            try:
-                self._merge(path, journal, on_record)
-            except JournalError:
-                continue
-
-    @staticmethod
-    def _workdir(journal: CheckpointJournal) -> str:
-        path = journal.path + ".shards"
-        try:
-            os.makedirs(path, exist_ok=True)
-            return path
-        except OSError:  # journal on a read-only mount? fall back to tmp
-            return tempfile.mkdtemp(prefix="qma-shards-")
-
-    @staticmethod
-    def _merge(
-        shard_path: str,
-        journal: CheckpointJournal,
-        on_record: Optional[RecordCallback],
-    ) -> None:
-        shard = CheckpointJournal.open(shard_path)
-        try:
-            if shard.spec_digest != journal.spec_digest:
-                raise JournalError(
-                    f"{shard_path}: shard journal spec digest "
-                    f"{shard.spec_digest[:12]} does not match campaign "
-                    f"{journal.spec_digest[:12]}"
-                )
-            for index, record in shard.iter_completed():
-                if index in journal:
-                    continue  # salvaged earlier, or a duplicate retry merge
-                journal.append(index, record)
-                if on_record is not None:
-                    on_record(index, record)
-        finally:
-            shard.close()
-
-
 def _probe_run(conn: Any, scenario: Scenario, fault_plan: Optional[Any]) -> None:
     """Disposable-child entry point for :class:`SerialBackend` isolation."""
     try:
@@ -664,32 +427,6 @@ class SerialBackend(DispatchBackend):
                 proc.join()
 
 
-def _tail_lines(path: str, limit: int) -> str:
-    """The last ``limit`` lines of a (possibly missing) text file."""
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(0, os.SEEK_END)
-            size = handle.tell()
-            handle.seek(max(0, size - 64 * 1024))
-            data = handle.read()
-    except OSError:
-        return ""
-    text = data.decode("utf-8", errors="replace")
-    return "\n".join(text.splitlines()[-limit:])
-
-
-def _worker_env() -> Dict[str, str]:
-    """Subprocess environment with the repro package importable."""
-    import repro
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if src not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-    return env
-
-
 #: Option keys understood by each backend kind (validated by make_backend).
 _BACKEND_OPTIONS = {
     "pool": ("jobs", "chunksize", "build_cache", "cache_size", "batch_seeds", "throttle"),
@@ -719,7 +456,8 @@ def make_backend(
     """Build a dispatch backend from a plain options mapping.
 
     ``{"backend": "pool"|"shard"|"serial"|"remote", ...}`` — remaining
-    keys are forwarded to the backend constructor; unknown keys raise
+    keys are forwarded to the backend constructor (``shard`` to
+    :func:`~repro.service.remote.loopback_backend`); unknown keys raise
     :class:`ValueError` (the service front end surfaces this as a 400
     instead of running a sweep under silently-dropped options), with
     ``source`` naming where the bad option came from (a CLI flag, submit
@@ -744,7 +482,16 @@ def make_backend(
             f"allowed: {sorted(allowed)}"
         )
     if kind == "shard":
-        return ShardBackend(fault_plan=fault_plan, **options)
+        from repro.service.remote import loopback_backend
+
+        faults = fault_plan.faults if fault_plan is not None else ()
+        if any(fault.kind == "agent-crash" for fault in faults):
+            raise ValueError(
+                f"agent-crash faults cannot target backend 'shard'{origin}: "
+                "its agents run inside this process, so the crash would kill "
+                "the dispatcher (use --hosts with separate agent processes)"
+            )
+        return loopback_backend(fault_plan=fault_plan, **options)
     if kind == "serial":
         return SerialBackend(fault_plan=fault_plan, **options)
     if kind == "remote":
@@ -758,12 +505,3 @@ def make_backend(
         )
     return PoolBackend(fault_plan=fault_plan, **options)
 
-
-def backend_pool_config(options: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
-    """Effective backend description for status output and export meta."""
-    options = dict(options or {})
-    kind = options.get("backend", "pool")
-    return {"backend": kind, **{k: v for k, v in options.items() if k != "backend"}}
-
-
-_ = List  # typing import kept for annotations in docstrings

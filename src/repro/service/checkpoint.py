@@ -5,7 +5,7 @@ service front end share.  It opens (or creates) the sweep's checkpoint
 journal, executes only the pending runs through the chosen dispatch
 backend, and delivers the merged campaign to the caller's sinks in
 expansion order.  Whether the campaign ran cold, resumed three times, or
-was merged from four subprocess shards, the sinks always see the same
+was merged from four agent shards, the sinks always see the same
 records in the same order: a cold run through an order-preserving backend
 streams records live (the journal stays write-only), while any merge of
 history replays the whole journal in expansion order, verifying every

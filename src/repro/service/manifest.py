@@ -115,11 +115,10 @@ def shard_job_document(
     """The canonical shard job document, host-agnostic by construction.
 
     This is the single wire/disk format a shard worker consumes: the
-    local :class:`~repro.service.backends.ShardBackend` writes it to a
-    file next to the journal, the remote dispatcher ships it to an agent
-    over the wire (with ``journal`` left for the agent to localise).
-    ``faults`` may be a plan object (``to_dict`` is called) or an
-    already-serialised plan dict.
+    dispatcher (:class:`~repro.service.remote.RemoteBackend`) ships it to
+    an agent over the wire, with ``journal`` left for the agent to
+    localise before it writes the document next to the worker's journal.
+    ``faults`` is the campaign's fault plan, serialised into the document.
     """
     doc: dict = {
         "sweep": dict(sweep_data),
@@ -131,7 +130,7 @@ def shard_job_document(
         "options": dict(options),
     }
     if faults is not None:
-        doc["faults"] = faults.to_dict() if hasattr(faults, "to_dict") else dict(faults)
+        doc["faults"] = faults.to_dict()
     return doc
 
 

@@ -1,13 +1,16 @@
-"""Cross-host shard dispatch: remote agents, host health, stream merging.
+"""Shard dispatch to campaign agents: host health, stream merging.
 
-:class:`RemoteBackend` is the transport the ROADMAP's "cross-host shard
-dispatch" item called for: it ships the *same* shard job document that
-:class:`~repro.service.backends.ShardBackend` writes for local workers to
-per-host :mod:`repro.service.agent` processes, streams each shard's
-journal bytes back incrementally, and merges completions through the
-existing digest-verified path.  Run identity is (spec digest, expansion
-index, seed), so any mix of retries, reconnects and host reassignment
-yields output bit-identical to a single-host run.
+:class:`RemoteBackend` is the one subprocess dispatch path.  It splits
+the pending runs into affinity-ordered shard slices, ships each slice as
+a shard job document to a :mod:`repro.service.agent` (which runs it
+through a :mod:`repro.service.shard_worker` subprocess), streams each
+shard's journal bytes back incrementally, and merges completions through
+the digest-verified journal path.  The agents are either remote
+(``--hosts``) or, for ``--shards N`` (backend kind ``shard``), N
+in-process loopback agents that :func:`loopback_backend` starts and
+:meth:`RemoteBackend.close` stops.  Run identity is (spec digest,
+expansion index, seed), so any mix of retries, reconnects and host
+reassignment yields output bit-identical to a single-host run.
 
 Robustness model, layer by layer:
 
@@ -16,7 +19,7 @@ Robustness model, layer by layer:
   for a ``probation`` window, after which it is probed again.  A dead box
   degrades throughput instead of failing the sweep — and if *every* host
   is quarantined, the backend raises so the supervision ladder can
-  degrade to local shard dispatch.
+  degrade to the in-process pool.
 * **Transport retry**: each shard's stream is retried against its host
   with the PR 9 exponential-backoff :class:`RetryPolicy` before the host
   is charged a failure and the slice is requeued for any healthy host.
@@ -32,6 +35,10 @@ Robustness model, layer by layer:
   backend only bumps the supervisor's liveness clock when the size grew,
   so slow links do not false-trip ``run_timeout`` watchdogs while a
   genuinely hung remote worker still does.
+* **Cancel on stop**: a cancelled or aborted dispatch cancels its
+  in-flight agent jobs, so a watchdog-aborted hung worker is stopped and
+  a retry of the same slice starts a fresh worker instead of
+  re-attaching to the hung one.
 
 Hosts are declared as ``HOST:PORT`` entries with an optional per-host
 job cap (``HOST:PORT*CAP``), inline or in a hosts file (one entry per
@@ -42,7 +49,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import socket
 import threading
@@ -53,7 +59,8 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.records import RunRecord
 from repro.campaign.spec import Sweep
-from repro.service.backends import DispatchBackend, ShardFailure
+from repro.service.agent import AgentServer, CampaignAgent
+from repro.service.backends import DispatchBackend
 from repro.service.journal import CheckpointJournal, JournalError, verify_completion
 from repro.service.manifest import affinity_order, shard_job_document, split_shards
 
@@ -62,13 +69,23 @@ __all__ = [
     "HostSpec",
     "RemoteBackend",
     "RemoteDispatchError",
+    "ShardFailure",
     "StreamProtocolError",
+    "loopback_backend",
     "parse_host_entry",
     "parse_hosts",
     "parse_hosts_file",
 ]
 
 RecordCallback = Callable[[int, RunRecord], None]
+
+
+class ShardFailure(RuntimeError):
+    """A shard worker exited non-zero; carries its stderr tail."""
+
+    def __init__(self, message: str, stderr_tail: str = "") -> None:
+        super().__init__(message)
+        self.stderr_tail = stderr_tail
 
 
 class RemoteDispatchError(RuntimeError):
@@ -441,7 +458,10 @@ class RemoteBackend(DispatchBackend):
     (and eventually quarantined) and the slice goes back on the queue for
     any other host.  When every host is quarantined and nothing is in
     flight, :class:`RemoteDispatchError` aborts the attempt — the
-    supervision ladder then degrades to local shard dispatch.
+    supervision ladder then degrades to the in-process pool.
+
+    :attr:`agents` holds the loopback agent servers this backend owns
+    (see :func:`loopback_backend`); :meth:`close` stops them.
     """
 
     name = "remote"
@@ -470,8 +490,8 @@ class RemoteBackend(DispatchBackend):
             if hosts and isinstance(hosts[0] if hosts else None, HostSpec)
             else parse_hosts(hosts)
         )
-        # Same option keys as ShardBackend so the supervision ladder can
-        # derive its local-shard and pool rungs from a remote backend.
+        # The runner options of every shard worker; the supervision
+        # ladder builds its pool rung from them.
         self.options = {
             "jobs": int(jobs),
             "chunksize": chunksize,
@@ -488,11 +508,17 @@ class RemoteBackend(DispatchBackend):
             self.registry.register(spec)
         self.specs = specs
         self.fault_plan = fault_plan
+        self.agents: List[AgentServer] = []
 
     @property
     def slots(self) -> int:
         """Total concurrent shard capacity across declared hosts."""
         return sum(spec.cap for spec in self.specs)
+
+    def close(self) -> None:
+        for agent in self.agents:
+            agent.stop()
+        self.agents = []
 
     # ------------------------------------------------------------- dispatch
     def run(
@@ -633,7 +659,7 @@ class RemoteBackend(DispatchBackend):
             shard_index,
             total_shards,
             self.options,
-            faults=self.fault_plan.to_dict() if self.fault_plan is not None else None,
+            faults=self.fault_plan,
         )
         slice_tag = hashlib.sha256(repr(todo).encode("utf-8")).hexdigest()[:8]
         job_id = f"{journal.spec_digest[:12]}-s{shard_index:03d}-{slice_tag}"
@@ -655,6 +681,11 @@ class RemoteBackend(DispatchBackend):
                     self.registry.shard_done(host.key)
                     return False
                 return False  # stopped mid-stream by cancel/abort
+            except ShardFailure:
+                # Forget the dead worker's job, so a retry of this slice
+                # starts a fresh worker instead of re-reading the failure.
+                self._send_cancel(host, job_id)
+                raise
             except (ConnectionError, socket.timeout, OSError) as exc:
                 last_error = exc
                 if attempt < policy.max_attempts:
@@ -693,9 +724,7 @@ class RemoteBackend(DispatchBackend):
             buffer = b""
             silent = 0.0
             while True:
-                if self._stop.is_set():
-                    return False
-                if self._cancel.is_set():
+                if self._stop.is_set() or self._cancel.is_set():
                     self._send_cancel(host, job_id)
                     return False
                 try:
@@ -782,6 +811,12 @@ class RemoteBackend(DispatchBackend):
             return True
         if "error" in message:
             error = message["error"]
+            if error.get("kind") == "start-failed":
+                # Not a transport fault: retrying the host cannot help.
+                raise ShardFailure(
+                    f"agent {host.key} could not start a shard worker: "
+                    f"{error.get('message')}"
+                )
             raise StreamProtocolError(
                 f"agent {host.key} refused job: "
                 f"[{error.get('kind')}] {error.get('message')}"
@@ -791,7 +826,7 @@ class RemoteBackend(DispatchBackend):
         )
 
     def _send_cancel(self, host: HostSpec, job_id: str) -> None:
-        """Best-effort cancel of the remote worker (graceful stop path)."""
+        """Best-effort cancel of the agent's worker for ``job_id``."""
         try:
             with socket.create_connection(
                 (host.host, host.port), timeout=self.connect_timeout
@@ -815,3 +850,31 @@ class RemoteBackend(DispatchBackend):
             if self._stop.is_set() or self._cancel.is_set():
                 return
             time.sleep(min(0.05, max(0.0, deadline - time.monotonic())))
+
+
+def loopback_backend(
+    shards: int = 2, python: Optional[str] = None, **options: Any
+) -> RemoteBackend:
+    """``--shards N``: a :class:`RemoteBackend` over N in-process agents.
+
+    Each agent listens on ``127.0.0.1`` with a job cap of one and runs its
+    shard worker subprocess with ``python`` (default: this interpreter).
+    The backend reports the ``shard`` name and stops the agents on
+    :meth:`~RemoteBackend.close`.
+    """
+    if shards < 1:
+        raise ValueError(f"shards must be positive, got {shards}")
+    agents = [
+        AgentServer(CampaignAgent(name=f"shard{i}", python=python))
+        for i in range(int(shards))
+    ]
+    hosts = [HostSpec(*agent.start()) for agent in agents]
+    try:
+        backend = RemoteBackend(hosts, **options)
+    except (TypeError, ValueError):  # a malformed option value: free the agents
+        for agent in agents:
+            agent.stop()
+        raise
+    backend.name = "shard"
+    backend.agents = agents
+    return backend

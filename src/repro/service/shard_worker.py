@@ -1,12 +1,13 @@
 """Shard subprocess entry point: ``python -m repro.service.shard_worker job.json``.
 
-The job document (written by :class:`repro.service.backends.ShardBackend`)
-names the sweep, the expansion indices this shard owns, the shard journal
-path and the runner options.  The worker executes its slice through a
-regular :class:`~repro.campaign.runner.CampaignRunner` — the same warm
-pool, build cache and seed batching as an in-process campaign — and
-appends every record to its own checkpoint journal.  The parent merges
-shard journals; this process never touches the campaign journal.
+The job document (written by a :mod:`repro.service.agent` for each shard
+it is sent) names the sweep, the expansion indices this shard owns, the
+shard journal path and the runner options.  The worker executes its
+slice through a regular :class:`~repro.campaign.runner.CampaignRunner` —
+the same warm pool, build cache and seed batching as an in-process
+campaign — and appends every record to its own checkpoint journal.  The
+dispatcher merges the streamed shard journals; this process never
+touches the campaign journal.
 
 The shard journal is ``open_or_create``'d, so re-running a crashed shard
 worker resumes the shard rather than restarting it.

@@ -17,8 +17,8 @@ exceptions into recorded, retried, or quarantined events:
   worker stalls one attempt, not the campaign.
 * **Graceful degradation.**  After :attr:`RetryPolicy.backend_attempts`
   consecutive failures on one execution tier the supervisor falls back:
-  shard → pool → isolated serial.  Every fallback is a structured
-  ``degrade`` event in the journal.
+  remote or shard (agent dispatch) → pool → isolated serial.  Every
+  fallback is a structured ``degrade`` event in the journal.
 * **Poison-run quarantine.**  The terminal serial tier executes each run
   in a disposable child process, so it can attribute crashes, hangs and
   exceptions to *specific* runs.  A run that fails
@@ -65,7 +65,6 @@ from repro.service.backends import (
     PoolBackend,
     RecordCallback,
     SerialBackend,
-    ShardBackend,
     make_backend,
 )
 from repro.service.faults import FaultPlan, InjectedFault
@@ -296,20 +295,6 @@ class SupervisedBackend(DispatchBackend):
 
             tiers: List[DispatchBackend] = [self.inner]
             if isinstance(self.inner, RemoteBackend):
-                # Remote dispatch degrades to local shards first: same
-                # job documents, same merge path, no network.
-                opts = self.inner.options
-                tiers.append(
-                    ShardBackend(
-                        shards=max(1, min(self.inner.slots, 4)),
-                        jobs=opts["jobs"],
-                        chunksize=opts["chunksize"],
-                        build_cache=opts["build_cache"],
-                        batch_seeds=opts["batch_seeds"],
-                        fault_plan=self.fault_plan,
-                    )
-                )
-            if isinstance(self.inner, (RemoteBackend, ShardBackend)):
                 opts = self.inner.options
                 tiers.append(
                     PoolBackend(

@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import Sweep
 from repro.scenario import ARTIFACT_CACHE
-from repro.service.backends import (
-    PoolBackend,
-    ShardBackend,
-    ShardFailure,
-    make_backend,
-)
+from repro.service.backends import PoolBackend, make_backend
+from repro.service.faults import FaultPlan
 from repro.service.journal import CheckpointJournal
+from repro.service.remote import RemoteBackend, ShardFailure
 from repro.service.shard_worker import main as shard_worker_main
 
 FIXED = {
@@ -97,32 +96,61 @@ class TestPoolBackend:
         assert seen == list(range(sweep.size))
 
 
-class TestShardBackend:
+def shard_backend(shards, **options):
+    return make_backend({"backend": "shard", "shards": shards, **options})
+
+
+class TestShardKind:
     def test_merge_equals_reference(self, tmp_path):
-        """Subprocess shards merge bit-identically to a serial in-process run."""
+        """Loopback-agent shards merge bit-identically to an in-process run."""
         sweep = make_sweep()
-        merged = run_via(ShardBackend(shards=2), sweep, tmp_path)
+        merged = run_via(shard_backend(2), sweep, tmp_path)
         assert [merged[i] for i in range(sweep.size)] == reference_records(sweep)
 
     def test_more_shards_than_runs(self, tmp_path):
         sweep = make_sweep(seeds=1)  # 2 runs, 4 shards requested
-        merged = run_via(ShardBackend(shards=4), sweep, tmp_path)
+        merged = run_via(shard_backend(4), sweep, tmp_path)
         assert [merged[i] for i in range(sweep.size)] == reference_records(sweep)
 
     def test_shard_failure_surfaces_stderr(self, tmp_path):
         sweep = make_sweep(seeds=1)
-        backend = ShardBackend(shards=1, python="/nonexistent/python")
+        backend = shard_backend(1, python="/nonexistent/python")
         journal = CheckpointJournal.create(str(tmp_path / "b.jsonl"), sweep)
         try:
-            with pytest.raises((ShardFailure, OSError)):
+            with pytest.raises(ShardFailure, match="/nonexistent/python"):
                 backend.run(sweep, list(range(sweep.size)), journal)
         finally:
             journal.close()
             backend.close()
 
+    def test_worker_exit_status_and_stderr_surface(self, tmp_path):
+        sweep = make_sweep(seeds=1)
+        python = tmp_path / "broken-python"
+        python.write_text("#!/bin/sh\necho 'worker exploded' >&2\nexit 3\n")
+        python.chmod(0o755)
+        backend = shard_backend(1, python=str(python))
+        journal = CheckpointJournal.create(str(tmp_path / "b.jsonl"), sweep)
+        try:
+            with pytest.raises(ShardFailure, match="status 3") as failure:
+                backend.run(sweep, list(range(sweep.size)), journal)
+        finally:
+            journal.close()
+            backend.close()
+        assert "worker exploded" in failure.value.stderr_tail
+
+    def test_close_stops_the_agents(self):
+        backend = shard_backend(2)
+        hosts = [(spec.host, spec.port) for spec in backend.specs]
+        for address in hosts:
+            socket.create_connection(address, timeout=1.0).close()
+        backend.close()
+        for address in hosts:
+            with pytest.raises(OSError):
+                socket.create_connection(address, timeout=1.0).close()
+
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
-            ShardBackend(shards=0)
+            shard_backend(0)
 
 
 class TestShardWorker:
@@ -169,9 +197,19 @@ class TestMakeBackend:
 
     def test_shard_kind(self):
         backend = make_backend({"backend": "shard", "shards": 3})
-        assert isinstance(backend, ShardBackend)
-        assert backend.shards == 3
+        assert isinstance(backend, RemoteBackend)
+        assert backend.name == "shard"
+        assert backend.slots == 3 and len(backend.agents) == 3
         backend.close()
+
+    def test_shard_kind_rejects_agent_crash_faults(self):
+        plan = FaultPlan.from_spec("agent-crash@shard=0")
+        with pytest.raises(ValueError, match=r"agent-crash.*\(from --inject-faults\)"):
+            make_backend(
+                {"backend": "shard", "shards": 2},
+                fault_plan=plan,
+                source="--inject-faults",
+            )
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown dispatch backend"):

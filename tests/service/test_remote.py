@@ -8,13 +8,13 @@ The robustness contracts of :mod:`repro.service.remote`:
 * the journal stream merger survives a connection torn at *every* byte
   offset of a completion line — the re-attach resumes at the last fully
   processed byte, recomputing nothing and duplicating nothing;
-* a two-localhost-agent remote run is bit-identical to the single-host
+* a two-localhost-agent remote run is bit-identical to the loopback
   shard and pool backends, including after an agent is SIGKILLed
   mid-campaign (the lost slice is reassigned to the surviving host);
 * injected network faults (``drop-stream``, ``partition``,
   ``slow-link``, ``agent-crash``) heal through transport retry, host
   quarantine and slice reassignment — and when every host is gone the
-  supervision ladder degrades remote -> local shard and still finishes.
+  supervision ladder degrades remote -> pool and still finishes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import Sweep
 from repro.scenario import ARTIFACT_CACHE
 from repro.service.agent import AgentServer, CampaignAgent
-from repro.service.backends import PoolBackend, ShardBackend, make_backend
+from repro.service.backends import PoolBackend, make_backend
 from repro.service.client import ServiceClient
 from repro.service.faults import FaultPlan
 from repro.service.journal import CheckpointJournal, JournalError
@@ -332,7 +332,12 @@ class TestRemoteDeterminism:
         sweep = make_sweep(seeds=3)
         reference = reference_records(sweep)
         remote = run_via(RemoteBackend(agents), sweep, tmp_path, "remote.jsonl")
-        shard = run_via(ShardBackend(shards=2), sweep, tmp_path, "shard.jsonl")
+        shard = run_via(
+            make_backend({"backend": "shard", "shards": 2}),
+            sweep,
+            tmp_path,
+            "shard.jsonl",
+        )
         pool = run_via(PoolBackend(), sweep, tmp_path, "pool.jsonl")
         assert [remote[i] for i in range(sweep.size)] == reference
         assert remote == shard == pool
@@ -490,7 +495,7 @@ class TestNetworkFaults:
 
 
 class TestSupervisionLadder:
-    def test_unreachable_hosts_degrade_to_local_shard(self, tmp_path):
+    def test_unreachable_hosts_degrade_to_pool(self, tmp_path):
         sweep = make_sweep(seeds=2)
         events = []
         backend = make_supervised(
@@ -510,7 +515,7 @@ class TestSupervisionLadder:
         assert [merged[i] for i in range(sweep.size)] == reference_records(sweep)
         degrades = [event for event in events if event["kind"] == "degrade"]
         assert degrades and degrades[0]["from_backend"] == "remote"
-        assert degrades[0]["to_backend"] == "shard"
+        assert degrades[0]["to_backend"] == "pool"
 
 
 class TestClientRetry:

@@ -41,6 +41,9 @@ FIXED = {
 #: jobs=1 the pool executes in-process and they are skipped by design).
 FAST = {"backoff_base": 0.0, "run_timeout": 3.0, "jobs": 2}
 
+#: The ``--shards 2`` dispatch path: two loopback agents, one slice each.
+SHARDS = {"backend": "shard", "shards": 2}
+
 
 @pytest.fixture(autouse=True)
 def _clean_state():
@@ -112,6 +115,32 @@ class TestChaosMatrix:
         # At least one supervision event must record what happened; the
         # journal carries the same audit trail for post-mortems.
         assert any(e["kind"] == "retry" for e in backend.events)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"faults": "crash@seed=2"},
+            {"faults": "hang:60@seed=0"},
+            {"faults": "hang:60@seed=0", "shards": 1},
+            {"faults": "crash@seed=0", "shards": 1, "jobs": 1},
+        ],
+        ids=["crash", "hang", "hang-one-shard", "worker-exit-one-shard"],
+    )
+    def test_shard_faults_recover_on_the_shard_tier(self, tmp_path, options):
+        baseline = baseline_records(tmp_path)
+        outcome, backend = run_supervised(
+            tmp_path, "chaos.jsonl", {**FAST, **SHARDS, **options}
+        )
+        assert outcome.status == "complete"
+        assert [r.to_dict() for r in outcome.records] == baseline
+        # One retry on the same tier heals it.  With one shard the retry
+        # sends the very same slice (same agent job id): only because the
+        # dispatcher cancelled the hung or failed job does the agent start
+        # a fresh worker instead of re-attaching to the old one.  (With
+        # jobs=1 the crash kills the shard worker itself: a failed exit.)
+        kinds = [event["kind"] for event in backend.events]
+        assert "retry" in kinds
+        assert "degrade" not in kinds
 
     def test_degrades_to_serial_when_tier_budget_exhausted(self, tmp_path):
         baseline = baseline_records(tmp_path)
@@ -247,6 +276,14 @@ class TestOptionsPlumbing:
             assert type(backend).__name__ == "PoolBackend"
         finally:
             backend.close()
+
+    def test_agent_crash_rejected_on_loopback_shards(self):
+        # The loopback agents live in this process: an agent-crash fault
+        # would os._exit the dispatcher itself.
+        with pytest.raises(ValueError, match=r"agent-crash.*\(from submit options\)"):
+            make_supervised(
+                {**SHARDS, "faults": "agent-crash@shard=0"}, source="submit options"
+            )
 
     def test_faults_accepts_spec_string_and_dict(self):
         plan = FaultPlan.from_spec("poison@seed=1")
